@@ -35,6 +35,8 @@
 //! assert!(matches!(first[4], Action::Write(_)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod em3d;
 pub mod fft;
 pub mod gauss;
@@ -77,13 +79,6 @@ pub struct AppBuild {
     pub data_bytes: u64,
     /// One action stream per processor.
     pub streams: Vec<ActionStream>,
-    /// Contract: processor `p` only ever touches pages in its own
-    /// block partition of the address space (no page or cache-line
-    /// sharing between processors). Lets the simulator run same-time
-    /// events from different partitions in parallel. Must only be set
-    /// by builders that guarantee it — a mislabel silently breaks the
-    /// parallel engine's bit-identical-to-serial property.
-    pub node_private: bool,
 }
 
 impl AppBuild {
@@ -103,7 +98,6 @@ impl AppBuild {
                 .into_iter()
                 .map(|v| Box::new(v.into_iter()) as ActionStream)
                 .collect(),
-            node_private: false,
         }
     }
 

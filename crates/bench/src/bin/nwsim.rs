@@ -1,37 +1,6 @@
 //! `nwsim` — run and inspect single NWCache simulations.
 //!
-//! ```text
-//! nwsim run     --app sor --machine nwcache --prefetch naive [--scale S]
-//!               [--topo SPEC] [--seed N] [--min-free N] [--disk-cache N]
-//!               [--ring-slots N] [--checkpoint PATH] [--checkpoint-every N]
-//!               [--stop-after N] [--sim-threads K] [--json]
-//! nwsim resume  CKPT [--checkpoint PATH] [--checkpoint-every N]
-//!               [--stop-after N] [--sim-threads K] [--json]
-//! nwsim ckpt-validate PATH
-//! nwsim ckpt-diff A B
-//! nwsim trace   <app> [--machine M] [--prefetch P] [--scale S] [--seed N]
-//!               [--trace-out run.json] [--sample-interval N]
-//!               [--trace-capacity N] [--text]
-//! nwsim trace-validate PATH
-//! nwsim compare --app sor --prefetch naive [--scale S] [--jobs N]
-//! nwsim bench   [--quick] [--out PATH] [--baseline PATH] [--check-regress PCT]
-//!               [--sim-threads K]
-//! nwsim bench-validate PATH
-//! nwsim apps
-//! nwsim config  [--machine M] [--prefetch P] [--topo SPEC]
-//! nwsim workload gen      --spec SPEC [--procs N] [--seed N] [--out PATH] [--binary]
-//! nwsim workload record   --app APP [--procs N] [--scale S] [--seed N]
-//!                         [--out PATH] [--binary]
-//! nwsim workload replay   --trace PATH [--machine M] [--prefetch P]
-//!                         [--scale S] [--json]
-//! nwsim workload describe PATH
-//! nwsim serve   [--addr H:P] [--job-slots N] [--warm-dir D] [--warm-capacity N]
-//!               [--autosave-dir D] [--chunk-events N] [--sim-threads K]
-//! nwsim client  <run|sweep|metrics|ping|shutdown> --addr H:P [--app SPEC]
-//!               [--machine M | --machines a,b,c] [--prefetch P] [--scale S]
-//!               [--seed N] [--topo SPEC] [--warm-events N] [--verify-warm]
-//!               [--deadline-ms N] [--progress-every N] [--trace-out PATH]
-//! ```
+#![doc = concat!("```text\n", include_str!("nwsim_usage.txt"), "```")]
 //!
 //! `nwsim serve` keeps a simulator process resident (DESIGN.md §18):
 //! clients submit run/sweep jobs over TCP, stream progress, and read
@@ -65,11 +34,8 @@
 //! `--jobs N` bounds the sweep worker threads for multi-run commands
 //! (`0` = one per core); results are identical at any job count.
 //!
-//! `--sim-threads K` runs each simulation's event loop on K worker
-//! threads (`0` = one per core, `1` = the serial engine). Delivery
-//! order is bit-identical at any K — summaries, metrics and
-//! checkpoints do not change, only wall-clock time does. For `bench`
-//! it also sets the `pdes_large_par` kernel's worker count.
+//! Every flag is checked against one table (`FLAGS`): an unknown
+//! flag, or a flag missing its value, exits 2 naming the flag.
 //!
 //! Checkpointing: `run --checkpoint ckpt.nwckpt --checkpoint-every N`
 //! autosaves an `nwckpt-v1` snapshot every N dispatched events
@@ -81,6 +47,8 @@
 //! the crash-injection harness. `ckpt-validate` structurally checks a
 //! checkpoint (checksum, section framing, META header) and
 //! `ckpt-diff` compares two checkpoints section by section.
+
+#![forbid(unsafe_code)]
 
 use nw_apps::AppId;
 use nw_server::proto::code_name;
@@ -120,6 +88,50 @@ fn die_err(e: &SimError) -> ! {
     std::process::exit(e.exit_code().code())
 }
 
+/// The usage text printed by `--help` (also the module docs above).
+const USAGE: &str = include_str!("nwsim_usage.txt");
+
+/// Every flag any command accepts, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--addr", true),
+    ("--app", true),
+    ("--autosave-dir", true),
+    ("--baseline", true),
+    ("--binary", false),
+    ("--check-regress", true),
+    ("--checkpoint", true),
+    ("--checkpoint-every", true),
+    ("--chunk-events", true),
+    ("--deadline-ms", true),
+    ("--disk-cache", true),
+    ("--job-slots", true),
+    ("--jobs", true),
+    ("--json", false),
+    ("--machine", true),
+    ("--machines", true),
+    ("--min-free", true),
+    ("--out", true),
+    ("--prefetch", true),
+    ("--procs", true),
+    ("--progress-every", true),
+    ("--quick", false),
+    ("--ring-slots", true),
+    ("--sample-interval", true),
+    ("--scale", true),
+    ("--seed", true),
+    ("--spec", true),
+    ("--stop-after", true),
+    ("--text", false),
+    ("--topo", true),
+    ("--trace", true),
+    ("--trace-capacity", true),
+    ("--trace-out", true),
+    ("--verify-warm", false),
+    ("--warm-capacity", true),
+    ("--warm-dir", true),
+    ("--warm-events", true),
+];
+
 struct Args {
     flags: Vec<(String, String)>,
 }
@@ -127,29 +139,22 @@ struct Args {
 impl Args {
     fn parse(raw: &[String]) -> Args {
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let k = raw[i].clone();
-            if !k.starts_with("--") {
+        let mut it = raw.iter();
+        while let Some(k) = it.next() {
+            let Some(&(_, takes_value)) = FLAGS.iter().find(|(name, _)| name == k) else {
+                if k.starts_with('-') {
+                    die(&format!("unknown flag '{k}' (see nwsim --help)"));
+                }
                 die(&format!("unexpected argument '{k}'"));
-            }
-            // Boolean flags take no value and may appear last.
-            if k == "--json"
-                || k == "--quick"
-                || k == "--text"
-                || k == "--binary"
-                || k == "--verify-warm"
-            {
-                flags.push((k, String::new()));
-                i += 1;
-                continue;
-            }
-            let v = raw
-                .get(i + 1)
-                .cloned()
-                .unwrap_or_else(|| die(&format!("flag {k} needs a value")));
-            flags.push((k, v));
-            i += 2;
+            };
+            let v = if takes_value {
+                it.next()
+                    .cloned()
+                    .unwrap_or_else(|| die(&format!("flag {k} needs a value")))
+            } else {
+                String::new()
+            };
+            flags.push((k.clone(), v));
         }
         Args { flags }
     }
@@ -436,10 +441,6 @@ fn run_chunked(
 /// frame, draining in-flight jobs to autosaved checkpoints.
 fn serve_cmd(argv: &[String]) {
     let args = Args::parse(argv);
-    if let Some(v) = args.get("--sim-threads") {
-        let k: usize = v.parse().unwrap_or_else(|_| die("bad --sim-threads"));
-        nwcache::machine::set_default_sim_threads(k);
-    }
     let mut opts = ServeOptions::default();
     if let Some(v) = args.get("--addr") {
         opts.addr = v.to_string();
@@ -628,6 +629,11 @@ fn main() {
     let Some(cmd) = argv.first() else {
         die("usage: nwsim <run|resume|ckpt-validate|ckpt-diff|trace|trace-validate|compare|bench|bench-validate|apps|config|workload|serve|client> [flags]")
     };
+    // `--help`/`-h` anywhere (`nwsim --help`, `nwsim run --help`).
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return;
+    }
     if cmd == "resume" {
         // Positional: `nwsim resume CKPT [flags]`.
         let path = argv.get(1).unwrap_or_else(|| die("resume needs a checkpoint path"));
@@ -764,10 +770,6 @@ fn main() {
     if let Some(v) = args.get("--jobs") {
         nwcache::sweep::set_jobs(v.parse().unwrap_or_else(|_| die("bad --jobs")));
     }
-    if let Some(v) = args.get("--sim-threads") {
-        let k: usize = v.parse().unwrap_or_else(|_| die("bad --sim-threads"));
-        nwcache::machine::set_default_sim_threads(k);
-    }
     match cmd.as_str() {
         "run" => {
             let cfg = build_config(&args);
@@ -902,11 +904,7 @@ fn main() {
                 "nwsim bench: timing hot-path kernels ({}) ...",
                 if quick { "quick" } else { "full" }
             );
-            let par_threads = args
-                .get("--sim-threads")
-                .map(|v| v.parse().unwrap_or_else(|_| die("bad --sim-threads")))
-                .unwrap_or(0);
-            let mut report = nwcache::hotbench::BenchReport::run(quick, par_threads);
+            let mut report = nwcache::hotbench::BenchReport::run(quick);
             if let Some(json) = &baseline {
                 report.attach_baseline(json);
             }

@@ -1,12 +1,6 @@
 //! `reproduce` — regenerate every table and figure of the paper.
 //!
-//! ```text
-//! reproduce [--scale S] [--jobs N] [--sim-threads K]
-//!           [table3|table4|table5|table6|table7|
-//!            table8|fig3|fig4|overall|minfree|diskcache|window|prefetch|
-//!            ablations|dcd|scaling|scale|reuse|zipf|ionodes|faults|all]
-//!           [--json out.json] [--scale-json out.json]
-//! ```
+#![doc = concat!("```text\n", include_str!("reproduce_usage.txt"), "```")]
 //!
 //! `--scale 1.0` (the default) uses the paper's Table 2 inputs; smaller
 //! scales shrink both the applications and the machine proportionally
@@ -14,9 +8,7 @@
 //!
 //! `--jobs N` fans independent runs out over N worker threads (`0` =
 //! one per core, the default). Results are bit-identical at any job
-//! count. `--sim-threads K` additionally parallelizes *inside* each
-//! simulation (the PDES engine; `0` = one per core) — also
-//! bit-identical at any K. `--json out.json` runs the full paper matrix and writes a
+//! count. `--json out.json` runs the full paper matrix and writes a
 //! stable-schema `SweepReport` (`nwcache-sweep-v1`) — the format the
 //! `BENCH_*.json` perf trajectories are recorded in. With `--json` and
 //! no explicit targets, only the export runs.
@@ -25,8 +17,8 @@
 //! (8 → 64 → 256 nodes, standard vs NWCache); `--scale-json out.json`
 //! additionally exports it as the frozen `nwcache-scale-v1` table.
 //! The export carries no wall-clock or worker-count fields, so two
-//! exports at different `--jobs` / `--sim-threads` settings are
-//! byte-identical (the CI scale-smoke job `cmp`s them).
+//! exports at different `--jobs` settings are byte-identical (the CI
+//! scale-smoke job `cmp`s them).
 //!
 //! `--trace-cell app:machine:prefetch` re-runs one cell of the paper
 //! matrix with the observer attached and writes a Perfetto-loadable
@@ -36,6 +28,11 @@
 //! accepts any workload spec, including `workload:<trace-file>` and
 //! `workload:gen:<spec>` (the machine and prefetch labels are always
 //! the last two `:`-separated tokens).
+//!
+//! An unknown flag or target exits 2 naming it; `--help` prints the
+//! usage above.
+
+#![forbid(unsafe_code)]
 
 use nw_sim::atomic_write::write_atomic;
 use nwcache::config::{MachineKind, PrefetchMode};
@@ -43,6 +40,22 @@ use nwcache::experiments as exp;
 use nwcache::report;
 use nwcache::AppSel;
 use nw_apps::AppId;
+
+/// The usage text printed by `--help` (also the module docs above).
+const USAGE: &str = include_str!("reproduce_usage.txt");
+
+/// Every target a positional argument may name.
+const TARGETS: [&str; 22] = [
+    "table3", "table4", "table5", "table6", "table7", "table8", "fig3", "fig4", "overall",
+    "minfree", "diskcache", "window", "prefetch", "ablations", "dcd", "scaling", "scale",
+    "reuse", "zipf", "ionodes", "faults", "all",
+];
+
+/// Usage errors: [`nwcache::ExitCode::Validation`].
+fn die(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    std::process::exit(nwcache::ExitCode::Validation.code())
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,14 +94,18 @@ fn main() {
                     .expect("--jobs needs a non-negative integer (0 = one per core)");
                 nwcache::sweep::set_jobs(n);
             }
-            "--sim-threads" => {
-                let k: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sim-threads needs a non-negative integer (0 = one per core)");
-                nwcache::machine::set_default_sim_threads(k);
-            }
             "--faults" => targets.push("faults".into()),
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
+            other if other.starts_with('-') => {
+                die(&format!("unknown flag '{other}' (see reproduce --help)"))
+            }
+            other if !TARGETS.contains(&other) => die(&format!(
+                "unknown target '{other}' (want one of {})",
+                TARGETS.join("|")
+            )),
             other => targets.push(other.to_string()),
         }
     }

@@ -1,11 +1,28 @@
-//! CLI-level tests for `nwsim`: the workload subcommands and the
-//! unknown-app error path, exercised through the real binary.
+//! CLI-level tests for `nwsim` and `reproduce`: the workload
+//! subcommands, flag validation, `--help`, and the unknown-app error
+//! path, exercised through the real binaries.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn nwsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nwsim"))
+}
+
+fn reproduce() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+}
+
+fn run(mut cmd: Command, args: &[&str]) -> Output {
+    cmd.args(args).output().expect("spawn binary")
+}
+
+/// Assert a usage error: exit 2 with `needle` named on stderr.
+fn assert_rejected(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(needle), "'{needle}' not named in: {stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }
 
 /// A per-test scratch file path under the target-specific temp dir.
@@ -245,4 +262,54 @@ fn exit_codes_are_the_documented_enum() {
 
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
+}
+
+/// The in-run parallel engine's worker-count flag, removed together
+/// with the engine; both binaries must now refuse it.
+const REMOVED_FLAG: &str = "--sim-threads";
+
+#[test]
+fn removed_flag_exits_2_on_both_binaries() {
+    let out = run(nwsim(), &["run", "--app", "sor", "--scale", "0.05", REMOVED_FLAG, "4"]);
+    assert_rejected(&out, REMOVED_FLAG);
+    let out = run(nwsim(), &["bench", "--quick", REMOVED_FLAG, "2"]);
+    assert_rejected(&out, REMOVED_FLAG);
+    let out = run(reproduce(), &["--scale", "0.05", REMOVED_FLAG, "4", "table3"]);
+    assert_rejected(&out, REMOVED_FLAG);
+}
+
+#[test]
+fn misspelled_flags_and_targets_exit_2() {
+    // A typo must not silently run at the default scale.
+    let out = run(nwsim(), &["run", "--app", "sor", "--scael", "0.5"]);
+    assert_rejected(&out, "--scael");
+    let out = run(reproduce(), &["--scael", "0.05", "table3"]);
+    assert_rejected(&out, "--scael");
+    let out = run(reproduce(), &["--scale", "0.05", "tabel3"]);
+    assert_rejected(&out, "tabel3");
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["run", "--help"],
+        &["bench", "--help"],
+        &["resume", "--help"],
+        &["workload", "gen", "--help"],
+    ] {
+        let out = run(nwsim(), args);
+        assert_eq!(out.status.code(), Some(0), "nwsim {args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("nwsim run"), "nwsim {args:?}: {stdout}");
+        assert!(!stdout.contains(REMOVED_FLAG), "{stdout}");
+    }
+    for flag in ["--help", "-h"] {
+        let out = run(reproduce(), &[flag]);
+        assert_eq!(out.status.code(), Some(0), "reproduce {flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("reproduce [--scale S]"), "{stdout}");
+        assert!(!stdout.contains(REMOVED_FLAG), "{stdout}");
+    }
 }

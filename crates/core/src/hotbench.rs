@@ -44,7 +44,7 @@ pub struct KernelResult {
     /// elimination and pins behavior across data-layout changes.
     pub checksum: u64,
     /// Simulation events dispatched per iteration, for kernels that
-    /// run the event loop (the app/PDES kernels); `None` for the
+    /// run the event loop (the app kernel); `None` for the
     /// data-structure kernels.
     pub events: Option<u64>,
     /// `ns_per_iter` of the same kernel in a baseline report, when
@@ -285,7 +285,6 @@ fn bench_app_run(quick: bool) -> KernelResult {
     let events = std::cell::Cell::new(0u64);
     let mut kr = time_kernel("app_run", r, |_| {
         let mut machine = crate::machine::Machine::new(cfg.clone(), AppId::Gauss);
-        machine.set_sim_threads(1);
         let m = machine.run();
         // Runs are deterministic, so the per-iteration event count is
         // a constant, not an accumulation.
@@ -301,74 +300,10 @@ fn bench_app_run(quick: bool) -> KernelResult {
     kr
 }
 
-/// The larger-than-paper PDES machine: 32 nodes (8 I/O nodes) with a
-/// node-private synthetic sweep whose barrier resynchronization makes
-/// every quantum round a 32-wide `Resume` cohort. `pdes_large` runs
-/// it serially, `pdes_large_par` on K worker threads; the two must
-/// produce the *same* checksum (bit-identical engines), so the pair
-/// doubles as a determinism gate in `validate_bench_json`.
-fn pdes_large_cfg() -> MachineConfig {
-    let mut cfg = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-    cfg.nodes = 32;
-    cfg.io_nodes = 8;
-    cfg.ring_channels = 32; // NwCache validation: channels >= nodes
-    cfg.memory_per_node = 256 * 1024;
-    // Long quanta keep the lanes busy between barrier rounds.
-    cfg.quantum = 50_000;
-    cfg
-}
-
-fn pdes_large_build() -> nw_apps::AppBuild {
-    nw_apps::synth::build_private(
-        nw_apps::synth::SynthConfig {
-            // 64 KB per processor: half the 128 KB L2, so the cyclic
-            // sweep re-hits in cache instead of missing every line.
-            data_bytes: 32 * 64 * 1024,
-            stride_lines: 1,
-            write_frac: 0.0,
-            random_frac: 0.0,
-            iters: 14,
-            compute_per_line: 8,
-        },
-        32,
-        0x1999,
-    )
-}
-
-fn bench_pdes_large(quick: bool, name: &'static str, threads: usize) -> KernelResult {
-    let r = if quick {
-        Reps { warmup: 0, iters: 3 }
-    } else {
-        Reps { warmup: 1, iters: 5 }
-    };
-    let cfg = pdes_large_cfg();
-    let events = std::cell::Cell::new(0u64);
-    let mut kr = time_kernel(name, r, |_| {
-        let mut machine = crate::machine::Machine::from_build(cfg.clone(), pdes_large_build());
-        machine.set_sim_threads(threads);
-        let m = machine.run();
-        events.set(machine.events_dispatched());
-        m.exec_time
-            .wrapping_mul(31)
-            .wrapping_add(m.page_faults)
-            .wrapping_add(m.swap_outs.wrapping_mul(7))
-            .wrapping_add(m.ring_hits.wrapping_mul(13))
-            .wrapping_add(m.mesh_messages.wrapping_mul(3))
-            .wrapping_add(machine.events_dispatched().wrapping_mul(17))
-    });
-    kr.events = Some(events.get());
-    kr
-}
-
 impl BenchReport {
     /// Run every hot-path kernel and collect a report. `quick` uses
     /// ~10x fewer iterations (the CI smoke configuration).
-    /// `par_threads` is the worker count for the `pdes_large_par`
-    /// kernel (0 picks the default of 4); `pdes_large` always runs
-    /// the same machine serially so the pair measures the parallel
-    /// engine's speedup at identical results.
-    pub fn run(quick: bool, par_threads: usize) -> BenchReport {
-        let par = if par_threads == 0 { 4 } else { par_threads };
+    pub fn run(quick: bool) -> BenchReport {
         BenchReport {
             quick,
             kernels: vec![
@@ -376,8 +311,6 @@ impl BenchReport {
                 bench_directory(quick),
                 bench_ring(quick),
                 bench_app_run(quick),
-                bench_pdes_large(quick, "pdes_large", 1),
-                bench_pdes_large(quick, "pdes_large_par", par),
             ],
         }
     }
@@ -448,13 +381,11 @@ impl BenchReport {
 
 /// The kernel names every `nwcache-bench-v1` document must contain,
 /// in schema order.
-pub const KERNEL_NAMES: [&str; 6] = [
+pub const KERNEL_NAMES: [&str; 4] = [
     "cache_probe",
     "directory_transaction",
     "ring_snoop_drain",
     "app_run",
-    "pdes_large",
-    "pdes_large_par",
 ];
 
 /// Validate that `json` is a well-formed `nwcache-bench-v1` document:
@@ -482,17 +413,6 @@ pub fn validate_bench_json(json: &str) -> Result<(), String> {
         if extract_kernel_field(json, name, "checksum").is_none() {
             return Err(format!("kernel \"{name}\" has no checksum"));
         }
-    }
-    // Determinism gate: the serial and parallel PDES kernels run the
-    // same machine, so differing checksums mean the parallel engine
-    // diverged from the serial one.
-    let serial = extract_kernel_field(json, "pdes_large", "checksum");
-    let par = extract_kernel_field(json, "pdes_large_par", "checksum");
-    if serial != par {
-        return Err(format!(
-            "pdes_large checksum {serial:?} != pdes_large_par checksum {par:?}: \
-             parallel engine diverged from serial"
-        ));
     }
     Ok(())
 }
@@ -550,13 +470,7 @@ mod tests {
                     warmup: 10,
                     total_ns: 5_000,
                     ns_per_iter: 5_000.0 / (100 + i as u64) as f64,
-                    // The two pdes kernels must agree (the validator's
-                    // determinism gate), mirroring the real engines.
-                    checksum: if name.starts_with("pdes_large") {
-                        99
-                    } else {
-                        42 + i as u64
-                    },
+                    checksum: 42 + i as u64,
                     events: if i >= 3 { Some(10_000 + i as u64) } else { None },
                     baseline_ns_per_iter: None,
                     baseline_events_per_sec: None,
@@ -610,14 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn pdes_checksum_mismatch_is_rejected() {
-        let mut r = tiny_report();
-        r.kernels.last_mut().unwrap().checksum = 7;
-        let err = validate_bench_json(&r.to_json()).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
-    }
-
-    #[test]
     fn events_fields_round_trip() {
         let mut r = tiny_report();
         let baseline = r.to_json();
@@ -632,24 +538,6 @@ mod tests {
         assert!(r.to_json().contains("\"baseline_events_per_sec\":"));
         // Kernels without events never grow the optional fields.
         assert!(r.kernels[0].events_per_sec().is_none());
-    }
-
-    #[test]
-    fn pdes_large_kernel_engages_parallel_rounds() {
-        // The speedup pair is only a measurement if the parallel arm
-        // actually takes the lane path on the 32-node machine (a
-        // silent fallback to serial delivery would still produce the
-        // matching checksum the validator pins).
-        let cfg = pdes_large_cfg();
-        let mut serial = crate::machine::Machine::from_build(cfg.clone(), pdes_large_build());
-        serial.set_sim_threads(1);
-        let base = serial.run();
-        let mut par = crate::machine::Machine::from_build(cfg, pdes_large_build());
-        par.set_sim_threads(4);
-        let got = par.run();
-        assert_eq!(base, got, "pdes_large kernel diverged at sim-threads 4");
-        let (parallel_rounds, _) = par.pdes_rounds();
-        assert!(parallel_rounds > 0, "32-node kernel never took the parallel path");
     }
 
     #[test]

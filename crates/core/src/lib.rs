@@ -41,6 +41,8 @@
 //! the paper's evaluation section; the `reproduce` binary in
 //! `nw-bench` prints them.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod error;

@@ -40,6 +40,8 @@
 //! assert_eq!(flush.oks, vec![(2, 9)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod dcd;
 pub mod faults;

@@ -30,6 +30,8 @@
 //! assert_eq!(w.invalidate, 1 << 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod cache;
 pub mod directory;

@@ -30,6 +30,8 @@
 //! assert!(d2.wait > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod faults;
 pub mod topology;
 

@@ -48,6 +48,8 @@
 //! assert_eq!(ring.total_occupancy(), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod interface;
 pub mod ring;

@@ -36,6 +36,8 @@
 //! assert_eq!(done, vec![("request-a", 100), ("request-b", 200)]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod atomic_write;
 pub mod ckpt;
 pub mod engine;

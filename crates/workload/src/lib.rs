@@ -44,6 +44,8 @@
 //! assert_eq!(app.streams.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod scenario;
 pub mod trace;
 

@@ -11,6 +11,8 @@
 //! cargo run --release -p nw-examples --bin out_of_core_sort [scale]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use nw_apps::AppId;
 use nwcache::{run_app, MachineConfig, MachineKind, PrefetchMode};
 

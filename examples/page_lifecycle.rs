@@ -7,6 +7,8 @@
 //! cargo run --release -p nw-examples --bin page_lifecycle [vpn] [scale]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use nw_apps::AppId;
 use nwcache::trace::TraceKind;
 use nwcache::{Machine, MachineConfig, MachineKind, PrefetchMode};

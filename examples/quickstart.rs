@@ -10,6 +10,8 @@
 //! `app` defaults to `sor`, `scale` to `0.25` (a quarter of the
 //! paper's input sizes, with the machine shrunk to match).
 
+#![forbid(unsafe_code)]
+
 use nw_apps::AppId;
 use nwcache::{run_app, MachineConfig, MachineKind, PrefetchMode};
 

@@ -9,6 +9,8 @@
 //! cargo run --release -p nw-examples --bin ring_capacity [app] [scale]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use nw_apps::AppId;
 use nwcache::{run_app, MachineConfig, MachineKind, PrefetchMode};
 

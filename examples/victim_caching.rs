@@ -12,6 +12,8 @@
 //! cargo run --release -p nw-examples --bin victim_caching [scale]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use nw_apps::AppId;
 use nwcache::{run_app, MachineConfig, MachineKind, PrefetchMode};
 

@@ -1,1 +1,3 @@
 //! Integration test host crate for the NWCache workspace.
+
+#![forbid(unsafe_code)]

@@ -119,6 +119,32 @@ fn failing_cell_stays_isolated_at_any_job_count() {
     assert_eq!(parallel[0], parallel[2]);
 }
 
+/// Message of the panic `panicking_worker_becomes_an_error_not_a_crash`
+/// injects on purpose.
+const EXPECTED_PANIC: &str = "injected worker failure";
+
+/// Install, once per test binary, a panic hook that drops the expected
+/// panic's report and forwards every other panic to the previous hook.
+/// Swapping the process-global hook inside a test would also silence
+/// any test panicking concurrently on another thread.
+fn quiet_expected_panic() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("");
+            if !msg.contains(EXPECTED_PANIC) {
+                prev(info);
+            }
+        }));
+    });
+}
+
 #[test]
 fn panicking_worker_becomes_an_error_not_a_crash() {
     // A panic inside one worker must surface as that cell's error
@@ -137,12 +163,8 @@ fn panicking_worker_becomes_an_error_not_a_crash() {
             move || nwcache::run_app(&cfg, AppId::Sor)
         }),
     ];
-    // Silence the expected panic's backtrace spew, as the pool's own
-    // unit tests do.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    quiet_expected_panic();
     let results = nw_sim::pool::run(parallel_jobs(), tasks);
-    std::panic::set_hook(hook);
     assert_eq!(results.len(), 3);
     assert_eq!(results[0].as_ref().unwrap(), &direct);
     assert_eq!(results[2].as_ref().unwrap(), &direct);
