@@ -67,6 +67,13 @@ pub enum Action {
     Barrier(u32),
 }
 
+nw_sim::persist!(enum Action {
+    0 => Compute(c),
+    1 => Read(line),
+    2 => Write(line),
+    3 => Barrier(id),
+});
+
 /// A lazily generated per-processor action stream. Exhaustion means
 /// the processor is done.
 pub type ActionStream = Box<dyn Iterator<Item = Action> + Send>;

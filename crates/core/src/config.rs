@@ -635,6 +635,98 @@ impl PrefetchMode {
     }
 }
 
+nw_sim::persist!(enum MachineKind {
+    0 => Standard,
+    1 => NwCache,
+    2 => Dcd,
+});
+
+nw_sim::persist!(enum PrefetchMode {
+    0 => Optimal,
+    1 => Naive,
+    2 => Window,
+    3 => Adaptive,
+});
+
+nw_sim::persist!(enum ReplacementPolicy {
+    0 => Lru,
+    1 => Fifo,
+    2 => Clock,
+});
+
+nw_sim::persist!(enum IoPlacement {
+    0 => Spread,
+    1 => Corners,
+    2 => Row,
+});
+
+nw_sim::persist!(enum RingShard {
+    0 => Page,
+    1 => Region,
+});
+
+nw_sim::persist!(FaultPlan {
+    seed,
+    disk_error_rate,
+    disk_stuck_rate,
+    ring_channel_failures,
+    mesh_drop_rate,
+    mesh_corrupt_rate,
+    max_retries,
+    retry_backoff,
+    request_timeout,
+});
+
+impl MachineConfig {
+    /// Whether any generated-topology field differs from the paper
+    /// machine's value.
+    fn has_topology(&self) -> bool {
+        self.mesh_width != 0
+            || self.mesh_height != 0
+            || self.io_placement != IoPlacement::Spread
+            || self.ring_count != 1
+            || self.ring_shard != RingShard::Page
+            || self.dir_shards != 1
+    }
+}
+
+// Generated-topology fields ride as an optional trailing block so every
+// pre-topology checkpoint of the default machine keeps its exact bytes:
+// written only when some field differs from the paper machine's, read
+// back only when the section has bytes left, so a config restored
+// from such bytes keeps the paper values it was built with.
+nw_sim::persist!(MachineConfig {
+    kind,
+    prefetch,
+    prefetch_window,
+    nodes,
+    io_nodes,
+    page_bytes,
+    tlb_miss_latency,
+    tlb_shootdown_latency,
+    interrupt_latency,
+    memory_per_node,
+    min_free_frames,
+    replacement,
+    ring_channels,
+    ring_slots_per_channel,
+    ring_round_trip,
+    disk_cache_pages,
+    disk_flush_delay,
+    tlb_entries,
+    l1_latency,
+    l2_latency,
+    mem_latency,
+    dir_latency,
+    wb_entries,
+    ctl_msg_bytes,
+    quantum,
+    app_scale,
+    seed,
+    faults,
+    optional(if has_topology) { mesh_width, mesh_height, io_placement, ring_count, ring_shard, dir_shards },
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

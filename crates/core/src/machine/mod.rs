@@ -73,14 +73,27 @@ pub(crate) enum BlockKind {
     Barrier,
 }
 
+/// A processor's action stream and the number of actions it has
+/// yielded. Streams are pure functions of the workload build, so the
+/// count is the stream's entire checkpointable state: restore rebuilds
+/// the stream and fast-forwards it that many actions.
+pub(crate) struct Stream {
+    actions: ActionStream,
+    consumed: u64,
+}
+
+impl Stream {
+    #[inline]
+    fn next(&mut self) -> Option<Action> {
+        let a = self.actions.next()?;
+        self.consumed += 1;
+        Some(a)
+    }
+}
+
 /// Per-processor state.
 pub(crate) struct Proc {
-    pub(crate) stream: ActionStream,
-    /// Actions consumed from `stream` so far. Streams are pure
-    /// functions of the workload build, so this single counter is the
-    /// stream's entire checkpointable state: restore rebuilds the
-    /// stream and fast-forwards it this many actions.
-    pub(crate) consumed: u64,
+    pub(crate) stream: Stream,
     /// Action to retry after unblocking.
     pub(crate) pending: Option<Action>,
     pub(crate) tlb: Tlb,
@@ -258,9 +271,11 @@ impl Machine {
         let procs = build
             .streams
             .into_iter()
-            .map(|stream| Proc {
-                stream,
-                consumed: 0,
+            .map(|actions| Proc {
+                stream: Stream {
+                    actions,
+                    consumed: 0,
+                },
                 pending: None,
                 tlb: Tlb::new(cfg.tlb_entries),
                 l1: Cache::new(CacheConfig::l1_default()),
@@ -845,10 +860,7 @@ impl Machine {
             let action = match self.procs[pi].pending.take() {
                 Some(a) => a,
                 None => match self.procs[pi].stream.next() {
-                    Some(a) => {
-                        self.procs[pi].consumed += 1;
-                        a
-                    }
+                    Some(a) => a,
                     None => {
                         self.procs[pi].done = true;
                         self.finished += 1;

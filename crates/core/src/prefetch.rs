@@ -34,7 +34,7 @@
 
 use crate::config::{MachineConfig, PrefetchMode};
 use crate::vm::Vpn;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::Persist;
 use nw_sim::Pcg32;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -202,27 +202,10 @@ impl Detector {
     pub fn window(&self) -> impl Iterator<Item = Vpn> + '_ {
         self.window.iter().copied()
     }
-
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.window.len());
-        for &v in &self.window {
-            w.u64(v);
-        }
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
-    }
-
-    fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.window.clear();
-        for _ in 0..n {
-            self.window.push_back(r.u64()?);
-        }
-        self.rng = Pcg32::from_parts(r.u64()?, r.u64()?);
-        Ok(())
-    }
 }
+
+// Capacity is config; the window is saved oldest first.
+nw_sim::persist!(Detector { window, rng });
 
 /// A machine-level prefetch policy: how the disk controllers prefetch
 /// and, optionally, an online speculation engine fed by the per-node
@@ -232,7 +215,7 @@ impl Detector {
 /// speculation hook defaults to a no-op so the demand paths of the
 /// refactored optimal/naive/window modes stay bit-identical to the
 /// pre-refactor machine (pinned by `tests/tests/prefetch.rs`).
-pub trait PrefetchPolicy: std::fmt::Debug + Send {
+pub trait PrefetchPolicy: Persist + std::fmt::Debug + Send {
     /// Label reported in `RunSummary::prefetch`.
     fn label(&self) -> &'static str;
 
@@ -307,15 +290,6 @@ pub trait PrefetchPolicy: std::fmt::Debug + Send {
     fn has_ckpt_state(&self) -> bool {
         false
     }
-
-    /// Serialize detector + speculation state.
-    fn ckpt_save(&self, _w: &mut CkptWriter) {}
-
-    /// Restore state saved by [`PrefetchPolicy::ckpt_save`] into a
-    /// policy built from the same config.
-    fn ckpt_restore(&mut self, _r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
 
 /// Build the policy object for `cfg`.
@@ -335,6 +309,8 @@ pub fn build_policy(cfg: &MachineConfig) -> Box<dyn PrefetchPolicy> {
 #[derive(Debug)]
 pub struct OptimalPolicy;
 
+nw_sim::persist!(OptimalPolicy {});
+
 impl PrefetchPolicy for OptimalPolicy {
     fn label(&self) -> &'static str {
         "optimal"
@@ -353,6 +329,8 @@ impl PrefetchPolicy for OptimalPolicy {
 #[derive(Debug)]
 pub struct NaivePolicy;
 
+nw_sim::persist!(NaivePolicy {});
+
 impl PrefetchPolicy for NaivePolicy {
     fn label(&self) -> &'static str {
         "naive"
@@ -369,6 +347,9 @@ pub struct WindowPolicy {
     /// Pages of lookahead the controller maintains.
     pub depth: usize,
 }
+
+// The depth is config.
+nw_sim::persist!(WindowPolicy {});
 
 impl PrefetchPolicy for WindowPolicy {
     fn label(&self) -> &'static str {
@@ -494,62 +475,15 @@ impl PrefetchPolicy for AdaptivePolicy {
     fn has_ckpt_state(&self) -> bool {
         true
     }
-
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.detectors.len());
-        for d in &self.detectors {
-            d.ckpt_save(w);
-        }
-        w.usize(self.outstanding.len());
-        for (&vpn, &node) in &self.outstanding {
-            w.u64(vpn);
-            w.u32(node);
-        }
-        w.usize(self.inflight.len());
-        for &c in &self.inflight {
-            w.u32(c);
-        }
-        w.u64(self.issued);
-        w.u64(self.peak);
-    }
-
-    fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.detectors.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("checkpoint has {n} detectors, machine has {}", self.detectors.len()),
-            });
-        }
-        for d in &mut self.detectors {
-            d.ckpt_restore(r)?;
-        }
-        let n = r.usize()?;
-        self.outstanding.clear();
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let node = r.u32()?;
-            self.outstanding.insert(vpn, node);
-        }
-        let n = r.usize()?;
-        if n != self.inflight.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("checkpoint has {n} inflight slots, machine has {}", self.inflight.len()),
-            });
-        }
-        for c in &mut self.inflight {
-            *c = r.u32()?;
-        }
-        self.issued = r.u64()?;
-        self.peak = r.u64()?;
-        Ok(())
-    }
 }
+
+// The cap is config.
+nw_sim::persist!(AdaptivePolicy { fixed detectors, outstanding, fixed inflight, issued, peak });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::{CkptReader, CkptWriter};
 
     fn det(window: usize) -> Detector {
         Detector::new(window, 0x1999, 0)
@@ -746,19 +680,19 @@ mod tests {
 
         let mut w = CkptWriter::new();
         w.begin_section(1);
-        p.ckpt_save(&mut w);
+        p.save(&mut w);
         w.end_section();
         let bytes = w.finish();
 
         let mut q = AdaptivePolicy::new(&cfg);
         let mut r = CkptReader::new(&bytes).expect("header");
         r.begin_section(1).expect("section");
-        q.ckpt_restore(&mut r).expect("restore");
+        q.restore(&mut r).expect("restore");
         r.end_section().expect("end");
 
         let mut w2 = CkptWriter::new();
         w2.begin_section(1);
-        q.ckpt_save(&mut w2);
+        q.save(&mut w2);
         w2.end_section();
         assert_eq!(bytes, w2.finish(), "policy state must round-trip");
         assert!(q.is_outstanding(105));

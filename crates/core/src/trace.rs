@@ -7,7 +7,6 @@
 //! prints one page's journey through memory, the ring and the disk.
 
 use crate::vm::Vpn;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 use nw_sim::Time;
 
 /// One step in a traced page's lifecycle.
@@ -110,101 +109,22 @@ impl PageTracer {
     pub fn records_for(&self, vpn: Vpn) -> impl Iterator<Item = &TraceRecord> + '_ {
         self.records.iter().filter(move |r| r.vpn == vpn)
     }
-
-    /// Serialize the watch list and every collected record.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.watched.len());
-        for &vpn in &self.watched {
-            w.u64(vpn);
-        }
-        w.usize(self.records.len());
-        for rec in &self.records {
-            w.time(rec.at);
-            w.u64(rec.vpn);
-            save_kind(w, rec.kind);
-        }
-    }
-
-    /// Overlay state saved by [`PageTracer::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.watched.clear();
-        for _ in 0..n {
-            self.watched.push(r.u64()?);
-        }
-        let n = r.usize()?;
-        self.records.clear();
-        for _ in 0..n {
-            let at = r.time()?;
-            let vpn = r.u64()?;
-            let kind = load_kind(r)?;
-            self.records.push(TraceRecord { at, vpn, kind });
-        }
-        Ok(())
-    }
 }
 
-fn save_kind(w: &mut CkptWriter, kind: TraceKind) {
-    match kind {
-        TraceKind::FaultToDisk { proc } => {
-            w.u32(0);
-            w.u32(proc);
-        }
-        TraceKind::FaultToRing { proc, channel } => {
-            w.u32(1);
-            w.u32(proc);
-            w.u32(channel);
-        }
-        TraceKind::Arrived { node } => {
-            w.u32(2);
-            w.u32(node);
-        }
-        TraceKind::Evicted { node, dirty } => {
-            w.u32(3);
-            w.u32(node);
-            w.bool(dirty);
-        }
-        TraceKind::OnRing { channel } => {
-            w.u32(4);
-            w.u32(channel);
-        }
-        TraceKind::Drained { disk } => {
-            w.u32(5);
-            w.u32(disk);
-        }
-        TraceKind::RingAcked => w.u32(6),
-        TraceKind::SwapAcked => w.u32(7),
-        TraceKind::SwapNacked => w.u32(8),
-        TraceKind::Flushed => w.u32(9),
-    }
-}
-
-fn load_kind(r: &mut CkptReader<'_>) -> Result<TraceKind, CkptError> {
-    Ok(match r.u32()? {
-        0 => TraceKind::FaultToDisk { proc: r.u32()? },
-        1 => TraceKind::FaultToRing {
-            proc: r.u32()?,
-            channel: r.u32()?,
-        },
-        2 => TraceKind::Arrived { node: r.u32()? },
-        3 => TraceKind::Evicted {
-            node: r.u32()?,
-            dirty: r.bool()?,
-        },
-        4 => TraceKind::OnRing { channel: r.u32()? },
-        5 => TraceKind::Drained { disk: r.u32()? },
-        6 => TraceKind::RingAcked,
-        7 => TraceKind::SwapAcked,
-        8 => TraceKind::SwapNacked,
-        9 => TraceKind::Flushed,
-        tag => {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("unknown trace-kind tag {tag}"),
-            })
-        }
-    })
-}
+nw_sim::persist!(enum TraceKind {
+    0 => FaultToDisk { proc },
+    1 => FaultToRing { proc, channel },
+    2 => Arrived { node },
+    3 => Evicted { node, dirty },
+    4 => OnRing { channel },
+    5 => Drained { disk },
+    6 => RingAcked,
+    7 => SwapAcked,
+    8 => SwapNacked,
+    9 => Flushed,
+});
+nw_sim::persist!(value TraceRecord { at, vpn, kind });
+nw_sim::persist!(PageTracer { watched, records });
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,6 @@
 //! partly comes from removing swap-out and ring-hit page traffic from
 //! these buses.
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 use nw_sim::{Bandwidth, Grant, Resource, Time};
 
 /// A node memory bus: a FIFO resource plus a fixed per-transaction
@@ -64,20 +63,10 @@ impl MemoryBus {
     pub fn resource(&self) -> &Resource {
         &self.res
     }
-
-    /// Serialize the dynamic state (bandwidth/overhead are config).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        self.res.ckpt_save(w);
-        w.u64(self.bytes);
-    }
-
-    /// Overlay state saved by [`MemoryBus::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.res.ckpt_restore(r)?;
-        self.bytes = r.u64()?;
-        Ok(())
-    }
 }
+
+// Bandwidth and overhead are config.
+nw_sim::persist!(MemoryBus { res, bytes });
 
 #[cfg(test)]
 mod tests {

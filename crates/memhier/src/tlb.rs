@@ -9,7 +9,6 @@
 //! machine model.
 
 use crate::Vpn;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 
 /// A fully associative, LRU translation lookaside buffer.
 #[derive(Debug, Clone)]
@@ -117,45 +116,14 @@ impl Tlb {
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
-
-    /// Serialize the dynamic state. Entry order is observable (LRU
-    /// eviction scans in order and swap-removes), so entries are saved
-    /// exactly as stored.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.entries.len());
-        for &(vpn, last_use) in &self.entries {
-            w.u64(vpn);
-            w.u64(last_use);
-        }
-        w.u64(self.clock);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.invalidations);
-    }
-
-    /// Overlay state saved by [`Tlb::ckpt_save`] onto a TLB of the
-    /// same capacity.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("TLB holds {n} entries, capacity is {}", self.capacity),
-            });
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let last_use = r.u64()?;
-            self.entries.push((vpn, last_use));
-        }
-        self.clock = r.u64()?;
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.invalidations = r.u64()?;
-        Ok(())
-    }
 }
+
+// Entry order is observable (LRU eviction scans in order and
+// swap-removes), so entries are saved exactly as stored.
+nw_sim::persist!(Tlb { entries, clock, hits, misses, invalidations } check |t| {
+    (t.entries.len() > t.capacity)
+        .then(|| format!("TLB holds {} entries, capacity is {}", t.entries.len(), t.capacity))
+});
 
 #[cfg(test)]
 mod tests {

@@ -25,13 +25,12 @@
 //!
 //! **Checkpoint format.** Rings are saved back to back in ring order;
 //! the per-node arbiters follow only when `rings > 1`. A single-ring
-//! fabric therefore serializes to exactly the bytes [`OpticalRing::
-//! ckpt_save`] always produced, which is what keeps pre-fabric
-//! checkpoints restorable.
+//! fabric therefore serializes to exactly the bytes its one
+//! [`OpticalRing`] does, which is what keeps pre-fabric checkpoints
+//! restorable.
 
 use crate::ring::{RingConfig, RingError};
 use crate::{OpticalRing, Page};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 use nw_sim::{Resource, Time};
 
 /// A stack of identical optical rings addressed by global channel id.
@@ -201,35 +200,14 @@ impl RingFabric {
         let (r, ch) = self.split(gc);
         self.rings[r].peak_occupancy(ch)
     }
-
-    /// Serialize the fabric: each ring back to back, then (only with
-    /// several rings) the per-node arbiters. A single-ring fabric's
-    /// bytes are exactly [`OpticalRing::ckpt_save`]'s.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        for ring in &self.rings {
-            ring.ckpt_save(w);
-        }
-        for arb in &self.arbiters {
-            arb.ckpt_save(w);
-        }
-    }
-
-    /// Overlay state saved by [`RingFabric::ckpt_save`] onto a fabric
-    /// with the same geometry.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        for ring in &mut self.rings {
-            ring.ckpt_restore(r)?;
-        }
-        for arb in &mut self.arbiters {
-            arb.ckpt_restore(r)?;
-        }
-        Ok(())
-    }
 }
+
+nw_sim::persist!(RingFabric { each rings, each arbiters });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::{CkptReader, CkptWriter, Persist};
 
     fn fabric(rings: usize) -> RingFabric {
         RingFabric::new(RingConfig::paper_default(), rings)
@@ -248,10 +226,10 @@ mod tests {
         let mut wf = CkptWriter::new();
         let mut wr = CkptWriter::new();
         wf.begin_section(1);
-        f.ckpt_save(&mut wf);
+        f.save(&mut wf);
         wf.end_section();
         wr.begin_section(1);
-        r.ckpt_save(&mut wr);
+        r.save(&mut wr);
         wr.end_section();
         assert_eq!(wf.finish(), wr.finish());
     }
@@ -323,18 +301,18 @@ mod tests {
         f.fail_channel(16 + 7);
         let mut w = CkptWriter::new();
         w.begin_section(1);
-        f.ckpt_save(&mut w);
+        f.save(&mut w);
         w.end_section();
         let bytes = w.finish();
         let mut g = fabric(3);
         let mut r = CkptReader::new(&bytes).unwrap();
         r.begin_section(1).unwrap();
-        g.ckpt_restore(&mut r).unwrap();
+        g.restore(&mut r).unwrap();
         r.end_section().unwrap();
         r.finish().unwrap();
         let mut w2 = CkptWriter::new();
         w2.begin_section(1);
-        g.ckpt_save(&mut w2);
+        g.save(&mut w2);
         w2.end_section();
         assert_eq!(bytes, w2.finish());
         assert!(g.contains(8 + 1, 11));

@@ -13,7 +13,6 @@
 //! entry: the page no longer needs to reach the disk.
 
 use crate::Page;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 use std::collections::VecDeque;
 
 /// A swap-out notification queued at the interface.
@@ -157,67 +156,16 @@ impl NwcInterface {
     pub fn cancelled(&self) -> u64 {
         self.cancelled
     }
-
-    /// Serialize every channel FIFO (in drain order), the drain
-    /// pointer and the counters.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.fifos.len());
-        for fifo in &self.fifos {
-            w.usize(fifo.len());
-            for rec in fifo {
-                w.u32(rec.origin);
-                w.u64(rec.page);
-            }
-        }
-        match self.current {
-            None => w.bool(false),
-            Some(ch) => {
-                w.bool(true);
-                w.usize(ch);
-            }
-        }
-        w.u64(self.enqueued);
-        w.u64(self.drained);
-        w.u64(self.cancelled);
-    }
-
-    /// Overlay state saved by [`NwcInterface::ckpt_save`] onto an
-    /// interface tracking the same number of channels.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.fifos.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("interface has {n} fifos, expected {}", self.fifos.len()),
-            });
-        }
-        for fifo in &mut self.fifos {
-            let len = r.usize()?;
-            fifo.clear();
-            for _ in 0..len {
-                let origin = r.u32()?;
-                let page = r.u64()?;
-                fifo.push_back(SwapRecord { origin, page });
-            }
-        }
-        self.current = if r.bool()? {
-            let ch = r.usize()?;
-            if ch >= self.fifos.len() {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!("drain pointer {ch} out of range"),
-                });
-            }
-            Some(ch)
-        } else {
-            None
-        };
-        self.enqueued = r.u64()?;
-        self.drained = r.u64()?;
-        self.cancelled = r.u64()?;
-        Ok(())
-    }
 }
+
+nw_sim::persist!(value SwapRecord { origin, page });
+
+// Every channel FIFO in drain order, the drain pointer, the counters.
+nw_sim::persist!(NwcInterface { fixed fifos, current, enqueued, drained, cancelled } check |i| {
+    i.current
+        .filter(|&ch| ch >= i.fifos.len())
+        .map(|ch| format!("drain pointer {ch} out of range"))
+});
 
 #[cfg(test)]
 mod tests {

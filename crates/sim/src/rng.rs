@@ -110,6 +110,8 @@ impl Pcg32 {
     }
 }
 
+crate::persist!(Pcg32 { state, inc });
+
 #[cfg(test)]
 mod tests {
     use super::*;
