@@ -57,6 +57,12 @@ fn die(msg: &str) -> ! {
     std::process::exit(nwcache::ExitCode::Validation.code())
 }
 
+/// The value following `flag`, or exit 2 naming the flag.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
@@ -69,29 +75,20 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale needs a number in (0, 1]");
+                scale = value(&mut it, "--scale")
+                    .parse()
+                    .ok()
+                    .filter(|s| *s > 0.0 && *s <= 1.0)
+                    .unwrap_or_else(|| die("--scale needs a number in (0, 1]"));
             }
-            "--json" => {
-                json_path = Some(it.next().expect("--json needs a path"));
-            }
-            "--scale-json" => {
-                scale_json_path = Some(it.next().expect("--scale-json needs a path"));
-            }
-            "--trace-cell" => {
-                trace_cell =
-                    Some(it.next().expect("--trace-cell needs app:machine:prefetch"));
-            }
-            "--trace-out" => {
-                trace_out = Some(it.next().expect("--trace-out needs a path"));
-            }
+            "--json" => json_path = Some(value(&mut it, "--json")),
+            "--scale-json" => scale_json_path = Some(value(&mut it, "--scale-json")),
+            "--trace-cell" => trace_cell = Some(value(&mut it, "--trace-cell")),
+            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
             "--jobs" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--jobs needs a non-negative integer (0 = one per core)");
+                let n: usize = value(&mut it, "--jobs").parse().unwrap_or_else(|_| {
+                    die("--jobs needs a non-negative integer (0 = one per core)")
+                });
                 nwcache::sweep::set_jobs(n);
             }
             "--faults" => targets.push("faults".into()),
@@ -123,32 +120,20 @@ fn main() {
         // Split from the right so the app position can itself contain
         // ':' (workload:gen:<spec> and trace paths with colons).
         let mut parts = cell.rsplitn(3, ':');
-        let (Some(prefetch), Some(machine), Some(app)) =
-            (parts.next(), parts.next(), parts.next())
+        let (Some(prefetch), Some(machine), Some(app)) = (parts.next(), parts.next(), parts.next())
         else {
-            panic!("--trace-cell wants app:machine:prefetch, got '{cell}'");
+            die(&format!(
+                "--trace-cell wants app:machine:prefetch, got '{cell}'"
+            ));
         };
-        let sel = AppSel::parse(app)
-            .unwrap_or_else(|e| panic!("--trace-cell: {e}"));
-        let kind = match machine {
-            "standard" | "std" => MachineKind::Standard,
-            "nwcache" | "nwc" => MachineKind::NwCache,
-            "dcd" => MachineKind::Dcd,
-            other => panic!("--trace-cell: unknown machine '{other}'"),
-        };
-        let mode = match prefetch {
-            "optimal" | "opt" => PrefetchMode::Optimal,
-            "naive" => PrefetchMode::Naive,
-            "window" | "win" => PrefetchMode::Window,
-            "adaptive" => PrefetchMode::Adaptive,
-            other => panic!("--trace-cell: unknown prefetch '{other}'"),
-        };
+        let trace_die = |e: &dyn std::fmt::Display| -> ! { die(&format!("--trace-cell: {e}")) };
+        let sel = AppSel::parse(app).unwrap_or_else(|e| trace_die(&e));
+        let kind = MachineKind::parse(machine)
+            .unwrap_or_else(|| trace_die(&format!("unknown machine '{machine}'")));
+        let (mode, _) = PrefetchMode::parse_spec(prefetch).unwrap_or_else(|e| trace_die(&e));
         let cfg = nwcache::MachineConfig::scaled_paper(kind, mode, scale);
-        let build = sel
-            .build(&cfg)
-            .unwrap_or_else(|e| panic!("--trace-cell: cannot build workload: {e}"));
-        let mut m = nwcache::Machine::try_from_build(cfg, build)
-            .unwrap_or_else(|e| panic!("--trace-cell: {e}"));
+        let build = sel.build(&cfg).unwrap_or_else(|e| trace_die(&e));
+        let mut m = nwcache::Machine::try_from_build(cfg, build).unwrap_or_else(|e| trace_die(&e));
         m.enable_observer(nwcache::observe::ObserveConfig::default());
         let metrics = m.run();
         let data = m.take_observation().expect("observer was enabled");

@@ -313,3 +313,108 @@ fn help_prints_usage_and_exits_0() {
         assert!(!stdout.contains(REMOVED_FLAG), "{stdout}");
     }
 }
+
+#[test]
+fn reproduce_flag_errors_exit_2() {
+    let out = run(reproduce(), &["--scale", "abc", "table3"]);
+    assert_rejected(&out, "--scale");
+    let out = run(reproduce(), &["table3", "--jobs"]);
+    assert_rejected(&out, "--jobs");
+    let out = run(reproduce(), &["--json"]);
+    assert_rejected(&out, "--json");
+    let out = run(
+        reproduce(),
+        &["--scale", "0.05", "--trace-cell", "sor:bogus:naive"],
+    );
+    assert_rejected(&out, "unknown machine 'bogus'");
+}
+
+/// `doc` with every whitespace byte outside strings removed.
+fn compact(doc: &str) -> String {
+    let mut out = String::new();
+    let mut in_str = false;
+    let mut escaped = false;
+    for c in doc.chars() {
+        if in_str {
+            in_str = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+        } else if c == '"' {
+            in_str = true;
+        } else if c.is_whitespace() {
+            continue;
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// `compact(doc)` re-laid out one member per line, indented by 2 per
+/// level (the shape of `json.dump(doc, indent=2)`).
+fn indent2(doc: &str) -> String {
+    let mut out = String::new();
+    let mut depth = 0usize;
+    let mut in_str = false;
+    let mut escaped = false;
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    for c in compact(doc).chars() {
+        if in_str {
+            in_str = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            out.push(c);
+            continue;
+        }
+        match c {
+            '"' => {
+                in_str = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                depth += 1;
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            '}' | ']' => {
+                depth -= 1;
+                newline(&mut out, depth);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            ':' => out.push_str(": "),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+#[test]
+fn bench_validate_accepts_any_layout_of_the_committed_report() {
+    let doc = include_str!("../../../BENCH_hotpath.json");
+    for (label, text) in [("compact", compact(doc)), ("indent2", indent2(doc))] {
+        assert_ne!(text, doc);
+        let path = scratch(&format!("bench-{label}.json"));
+        std::fs::write(&path, &text).expect("write reformatted report");
+        let out = run(nwsim(), &["bench-validate", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{label}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn trace_validate_rejects_deep_nesting_with_exit_2() {
+    let path = scratch("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write deep document");
+    let out = run(nwsim(), &["trace-validate", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_rejected(&out, "nesting deeper than");
+}

@@ -20,6 +20,7 @@
 //! test.
 
 use crate::config::{MachineConfig, MachineKind, PrefetchMode};
+use crate::json;
 use crate::metrics::json_f64;
 use nw_apps::AppId;
 use nw_memhier::{Cache, CacheConfig, Directory, LookupResult, ReadOutcome, LINES_PER_PAGE};
@@ -319,10 +320,11 @@ impl BenchReport {
     /// JSON (matching kernels by name). Baselines predating the
     /// `events_per_sec` field simply leave it unset.
     pub fn attach_baseline(&mut self, baseline_json: &str) {
+        let doc = json::parse(baseline_json).ok();
         for k in &mut self.kernels {
-            k.baseline_ns_per_iter = extract_kernel_ns(baseline_json, k.name);
-            k.baseline_events_per_sec =
-                extract_kernel_field(baseline_json, k.name, "events_per_sec");
+            let field = |f| doc.as_ref().and_then(|d| kernel_field(d, k.name, f));
+            k.baseline_ns_per_iter = field("ns_per_iter");
+            k.baseline_events_per_sec = field("events_per_sec");
         }
     }
 
@@ -391,26 +393,28 @@ pub const KERNEL_NAMES: [&str; 4] = [
 /// Validate that `json` is a well-formed `nwcache-bench-v1` document:
 /// correct schema tag, every kernel present with positive iteration
 /// and timing fields. Used by the CI bench smoke job
-/// (`nwsim bench-validate`) and the integration tests.
+/// (`nwsim bench-validate`) and the integration tests. Any JSON layout
+/// of the same document validates.
 pub fn validate_bench_json(json: &str) -> Result<(), String> {
-    if !json.contains("\"schema\": \"nwcache-bench-v1\"") {
+    let doc = json::parse(json)?;
+    if doc.get("schema").and_then(json::Value::as_str) != Some("nwcache-bench-v1") {
         return Err("missing or wrong schema tag (want nwcache-bench-v1)".into());
     }
-    if !json.contains("\"quick\": true") && !json.contains("\"quick\": false") {
+    if doc.get("quick").and_then(json::Value::as_bool).is_none() {
         return Err("missing \"quick\" flag".into());
     }
     for name in KERNEL_NAMES {
-        let Some(ns) = extract_kernel_ns(json, name) else {
+        let Some(ns) = kernel_field(&doc, name, "ns_per_iter") else {
             return Err(format!("kernel \"{name}\" missing or lacks ns_per_iter"));
         };
         if ns.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(format!("kernel \"{name}\" has non-positive ns_per_iter"));
         }
-        match extract_kernel_field(json, name, "iters") {
+        match kernel_field(&doc, name, "iters") {
             Some(it) if it > 0.0 => {}
             _ => return Err(format!("kernel \"{name}\" has no positive iters")),
         }
-        if extract_kernel_field(json, name, "checksum").is_none() {
+        if kernel_field(&doc, name, "checksum").is_none() {
             return Err(format!("kernel \"{name}\" has no checksum"));
         }
     }
@@ -428,29 +432,26 @@ pub fn extract_kernel_ns(json: &str, name: &str) -> Option<f64> {
 /// against noise produces phantom regressions (and phantom passes).
 /// Documents predating the field count as authoritative.
 pub fn baseline_is_authoritative(json: &str) -> bool {
-    let Some(i) = json.find("\"authoritative\"") else {
-        return true;
-    };
-    let rest = json[i + "\"authoritative\"".len()..].trim_start();
-    let rest = rest.strip_prefix(':').unwrap_or(rest).trim_start();
-    !rest.starts_with("false")
+    let doc = json::parse(json).ok();
+    doc.as_ref()
+        .and_then(|d| d.get("authoritative"))
+        .and_then(json::Value::as_bool)
+        != Some(false)
 }
 
-/// Minimal field extractor for the bench schema: finds the kernel
-/// object by its `"name"` and reads a numeric field from it. Only
-/// meant for `nwcache-bench-v1` documents (objects are single-line,
-/// fields unescaped) — not a general JSON parser.
+/// Numeric field `field` of the kernel object named `name`.
+fn kernel_field(doc: &json::Value, name: &str, field: &str) -> Option<f64> {
+    doc.get("kernels")?
+        .as_array()?
+        .iter()
+        .find(|k| k.get("name").and_then(json::Value::as_str) == Some(name))?
+        .get(field)?
+        .as_f64()
+}
+
+/// [`kernel_field`] of an unparsed document.
 fn extract_kernel_field(json: &str, name: &str, field: &str) -> Option<f64> {
-    let tag = format!("\"name\":\"{name}\"");
-    let start = json.find(&tag)?;
-    let obj = &json[start..json[start..].find('}').map(|e| start + e)?];
-    let ftag = format!("\"{field}\":");
-    let fstart = obj.find(&ftag)? + ftag.len();
-    let rest = &obj[fstart..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+    kernel_field(&json::parse(json).ok()?, name, field)
 }
 
 #[cfg(test)]

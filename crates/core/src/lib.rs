@@ -48,6 +48,7 @@ pub mod config;
 pub mod error;
 pub mod experiments;
 pub mod hotbench;
+pub mod json;
 pub mod machine;
 pub mod metrics;
 pub mod observe;

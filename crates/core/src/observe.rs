@@ -25,6 +25,7 @@
 //! * **Near-free when off.** The machine stores the observer as an
 //!   `Option<Box<Observer>>`; every hook is a single `None` check.
 
+use crate::json;
 use crate::metrics::{json_escape, json_f64};
 use nw_sim::stats::BoundedSeries;
 use nw_sim::trace::{TraceBuffer, TraceEvent};
@@ -418,9 +419,9 @@ pub fn process_totals() -> ProcessTotals {
 }
 
 // ---------------------------------------------------------------------------
-// In-tree Chrome-trace validator: a minimal JSON parser plus the
-// structural checks the trace-smoke CI job and tests rely on. No
-// external dependencies.
+// In-tree Chrome-trace validator: the structural checks the
+// trace-smoke CI job and tests rely on, over the [`crate::json`]
+// parser.
 
 /// What [`validate_chrome_trace`] found in a well-formed document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -445,20 +446,20 @@ pub struct TraceStats {
 /// `ts` on every non-metadata event and a `dur` on every span.
 pub fn validate_chrome_trace(doc: &str) -> Result<TraceStats, String> {
     let v = json::parse(doc)?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
-    let events = obj
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    if v.as_object().is_none() {
+        return Err("top level is not an object".into());
+    }
+    let events = v
+        .get("traceEvents")
         .ok_or("missing \"traceEvents\" key")?
         .as_array()
         .ok_or("\"traceEvents\" is not an array")?;
     let mut stats = TraceStats::default();
     for (i, e) in events.iter().enumerate() {
-        let ev = e
-            .as_object()
-            .ok_or_else(|| format!("traceEvents[{i}] is not an object"))?;
-        let get = |k: &str| ev.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        if e.as_object().is_none() {
+            return Err(format!("traceEvents[{i}] is not an object"));
+        }
+        let get = |k: &str| e.get(k);
         let ph = get("ph")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("traceEvents[{i}] missing string \"ph\""))?;
@@ -502,253 +503,6 @@ pub fn validate_chrome_trace(doc: &str) -> Result<TraceStats, String> {
     }
     stats.pids.sort_unstable();
     Ok(stats)
-}
-
-/// Minimal recursive-descent JSON parser — just enough to validate the
-/// exporter's output without external crates.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object's members, if this is an object.
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        /// The array's elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric value, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    /// Parse one complete JSON document.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing data at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? != c {
-                return Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    c as char, self.i, self.b[self.i] as char
-                ));
-            }
-            self.i += 1;
-            Ok(())
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.i;
-            if self.b[self.i] == b'-' {
-                self.i += 1;
-            }
-            while self.i < self.b.len()
-                && matches!(self.b[self.i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                self.i += 1;
-            }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self
-                            .b
-                            .get(self.i)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
-                                self.i += 4;
-                                // Surrogate pairs are not emitted by our
-                                // exporter; map lone surrogates to the
-                                // replacement character.
-                                out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.i - 1)),
-                        }
-                    }
-                    _ => {
-                        // Re-decode multi-byte UTF-8 sequences.
-                        let start = self.i - 1;
-                        let len = match c {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        self.i = start + len;
-                        let s = self
-                            .b
-                            .get(start..start + len)
-                            .and_then(|b| std::str::from_utf8(b).ok())
-                            .ok_or_else(|| format!("bad utf-8 at byte {start}"))?;
-                        out.push_str(s);
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut out = Vec::new();
-            if self.peek()? == b']' {
-                self.i += 1;
-                return Ok(Value::Arr(out));
-            }
-            loop {
-                out.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Ok(Value::Arr(out));
-                    }
-                    c => return Err(format!("expected ',' or ']', found {:?}", c as char)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut out = Vec::new();
-            if self.peek()? == b'}' {
-                self.i += 1;
-                return Ok(Value::Obj(out));
-            }
-            loop {
-                self.skip_ws();
-                let k = self.string()?;
-                self.expect(b':')?;
-                let v = self.value()?;
-                out.push((k, v));
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Ok(Value::Obj(out));
-                    }
-                    c => return Err(format!("expected ',' or '}}', found {:?}", c as char)),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
