@@ -112,7 +112,7 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
                     .chain(std::iter::once(Action::Barrier(2 * it + 1)));
                 e_phase.chain(h_phase)
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

@@ -53,7 +53,7 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
                 });
                 body.chain(std::iter::once(Action::Barrier(s)))
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

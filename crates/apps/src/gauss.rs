@@ -52,7 +52,7 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
                     .chain(updates)
                     .chain(std::iter::once(Action::Barrier(k)))
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

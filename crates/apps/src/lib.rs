@@ -74,9 +74,88 @@ nw_sim::persist!(enum Action {
     3 => Barrier(id),
 });
 
+/// Actions an [`ActionStream`] generates per refill of its buffer.
+const BATCH: usize = 64;
+
+/// Fills a batch buffer from a concrete generator. Object-safe, so one
+/// dynamic call produces a whole batch while the generator runs by
+/// internal iteration (`try_fold` through its `FlatMap`/`Chain`
+/// layers), not one virtual `next()` per action.
+trait Refill: Send {
+    fn refill(&mut self, buf: &mut [Action; BATCH]) -> usize;
+}
+
+impl<I: Iterator<Item = Action> + Send> Refill for I {
+    fn refill(&mut self, buf: &mut [Action; BATCH]) -> usize {
+        let mut n = 0;
+        self.take(BATCH).for_each(|a| {
+            buf[n] = a;
+            n += 1;
+        });
+        n
+    }
+}
+
 /// A lazily generated per-processor action stream. Exhaustion means
 /// the processor is done.
-pub type ActionStream = Box<dyn Iterator<Item = Action> + Send>;
+///
+/// The stream yields exactly its generator's sequence, but pulls it
+/// `BATCH` actions at a time into a fixed buffer; `next()` is then an
+/// indexed load. Generators are pure functions of the workload build,
+/// so generating ahead of consumption changes nothing observable.
+pub struct ActionStream {
+    source: Box<dyn Refill>,
+    buf: [Action; BATCH],
+    /// Next buffered action to yield.
+    pos: usize,
+    /// Buffered actions (`pos..len` are still unread).
+    len: usize,
+    /// The generator returned a short batch: it is finished.
+    exhausted: bool,
+}
+
+impl ActionStream {
+    /// Actions generated per refill (a constant of the design, not a
+    /// tuning knob).
+    pub const BATCH: usize = BATCH;
+
+    /// Wrap a generator.
+    pub fn new(actions: impl Iterator<Item = Action> + Send + 'static) -> Self {
+        ActionStream {
+            source: Box::new(actions),
+            buf: [Action::Compute(0); BATCH],
+            pos: 0,
+            len: 0,
+            exhausted: false,
+        }
+    }
+
+    /// Refill the buffer; `None` once the generator is finished.
+    #[inline(never)]
+    fn refill(&mut self) -> Option<()> {
+        if self.exhausted {
+            return None;
+        }
+        self.len = self.source.refill(&mut self.buf);
+        self.pos = 0;
+        self.exhausted = self.len < BATCH;
+        (self.len > 0).then_some(())
+    }
+}
+
+impl Iterator for ActionStream {
+    type Item = Action;
+
+    #[inline]
+    fn next(&mut self) -> Option<Action> {
+        if self.pos == self.len {
+            self.refill()?;
+        }
+        let a = self.buf[self.pos];
+        self.pos += 1;
+        Some(a)
+    }
+}
 
 /// A fully built application instance: one stream per processor.
 pub struct AppBuild {
@@ -103,7 +182,7 @@ impl AppBuild {
             data_bytes,
             streams: actions
                 .into_iter()
-                .map(|v| Box::new(v.into_iter()) as ActionStream)
+                .map(|v| ActionStream::new(v.into_iter()))
                 .collect(),
         }
     }
@@ -212,6 +291,99 @@ mod tests {
             }
         }
         (c, r, w, barriers)
+    }
+
+    /// Per-stream `(length, FNV-1a digest)` of an action sequence, each
+    /// action encoded as a tag byte and its payload as a `u64` (LE).
+    fn digest(b: AppBuild) -> Vec<(u64, u64)> {
+        b.streams
+            .into_iter()
+            .map(|s| {
+                let mut bytes = Vec::new();
+                let mut n = 0u64;
+                for a in s {
+                    let (tag, v) = match a {
+                        Action::Compute(c) => (0u8, c as u64),
+                        Action::Read(l) => (1, l),
+                        Action::Write(l) => (2, l),
+                        Action::Barrier(id) => (3, id as u64),
+                    };
+                    bytes.push(tag);
+                    bytes.extend(v.to_le_bytes());
+                    n += 1;
+                }
+                (n, nw_sim::ckpt::fnv1a(&bytes))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_streams_yield_the_generators_sequences() {
+        // Digests of every app's streams (3 procs, scale 0.05, seed 7)
+        // and a synth kernel, recorded when each generator was consumed
+        // one `next()` at a time through a boxed iterator. No length is
+        // a multiple of the batch size, so every stream ends mid-batch.
+        #[rustfmt::skip]
+        let expect: [(&str, [(u64, u64); 3]); 8] = [
+            ("em3d", [(0x13ed4, 0xb0538bbc1c750b39), (0x13ed4, 0xe59cec05e7d9acf5), (0x13ed4, 0x5844d32c0faf4e0d)]),
+            ("fft", [(0x2372, 0xfd467840ab71a9e8), (0x2372, 0x85a4db9b31cac158), (0x2372, 0x648f2e868a4179dc)]),
+            ("gauss", [(0x14775, 0x3322da80443e95d3), (0x14010, 0xe17c7cc6010d69de), (0x143ca, 0xf4f0cace20284292)]),
+            ("lu", [(0x2958, 0x0c8b0a260da579bd), (0x26b8, 0x01b1b053b64e0f3d), (0x26b8, 0x9a7c57f2b079311d)]),
+            ("mg", [(0x505a, 0x0d1a4211de981d9a), (0x4ef2, 0x4e438bf9a353c38c), (0x4452, 0x14ff05433adb4fcc)]),
+            ("radix", [(0x5151, 0x2181e9feac1b509e), (0x514e, 0xb1c123f6e7ade0af), (0x514e, 0x7b0994441206b4e3)]),
+            ("sor", [(0x4b0a, 0x86ad8f6e6277743a), (0x4b0a, 0x3f5ada2350d4a42e), (0x497a, 0xab51915960468eba)]),
+            ("synth", [(0x2007, 0x64945340e8bf7b3d), (0x2001, 0x3c1cce0714396f7e), (0x2001, 0x245b4941e4eec28c)]),
+        ];
+        for (name, want) in expect {
+            let b = match AppId::from_name(name) {
+                Some(app) => build(app, 3, 0.05, 7),
+                None => synth::build(
+                    synth::SynthConfig {
+                        data_bytes: 256 * 1024,
+                        random_frac: 0.3,
+                        iters: 3,
+                        ..Default::default()
+                    },
+                    3,
+                    7,
+                ),
+            };
+            let got = digest(b);
+            for (n, _) in &got {
+                assert_ne!(n % BATCH as u64, 0, "{name}: ends on a batch boundary");
+            }
+            assert_eq!(got, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn batching_preserves_any_stream_length() {
+        // Lengths on, just before and just after batch boundaries,
+        // through both `ActionStream::new` and `from_actions`.
+        let action = |i: usize| match i % 4 {
+            0 => Action::Read(i as Line),
+            1 => Action::Compute(i as u32),
+            2 => Action::Write(i as Line * 3),
+            _ => Action::Barrier(i as u32),
+        };
+        for len in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH, 3 * BATCH + 7] {
+            let plain: Vec<Action> = (0..len).map(action).collect();
+            let batched: Vec<Action> = ActionStream::new((0..len).map(action)).collect();
+            assert_eq!(batched, plain, "len {len}");
+            let mut s = ActionStream::new((0..len).map(action));
+            for _ in 0..len {
+                assert!(s.next().is_some());
+            }
+            assert_eq!(s.next(), None, "len {len}: exhausted");
+            assert_eq!(s.next(), None, "len {len}: stays exhausted");
+            let b = AppBuild::from_actions("t", 64, vec![plain.clone(), plain[..len / 2].to_vec()]);
+            let (_, _, replayed) = b.into_actions();
+            assert_eq!(
+                replayed,
+                vec![plain.clone(), plain[..len / 2].to_vec()],
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
 
                 diag.chain(b1).chain(panels).chain(b2).chain(trailing).chain(b3)
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

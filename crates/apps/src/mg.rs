@@ -221,7 +221,7 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
                             .chain(std::iter::once(Action::Barrier(it * plan_len + pi as u32)))
                     })
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

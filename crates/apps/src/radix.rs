@@ -103,7 +103,7 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
                     .chain(std::iter::once(Action::Barrier(3 * pass + 2)));
                 histo.chain(exchange).chain(permute)
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

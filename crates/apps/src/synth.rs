@@ -77,7 +77,7 @@ pub fn build(cfg: SynthConfig, nprocs: usize, seed: u64) -> AppBuild {
                     });
                 body.chain(std::iter::once(Action::Barrier(it)))
             });
-            Box::new(iter) as crate::ActionStream
+            crate::ActionStream::new(iter)
         })
         .collect();
 

@@ -192,6 +192,9 @@ fn decode(bytes: &[u8], origin: &str) -> Result<(CkptMeta, Machine), SimError> {
         Ok(cfg)
     })()
     .map_err(|e| ckpt_to_sim(origin, e))?;
+    // Validate before building: the workload builders assume a sane
+    // node count and scale.
+    cfg.validate().map_err(SimError::BadConfig)?;
     let sel = AppSel::parse(&meta.spec)?;
     let build = sel.build(&cfg)?;
     let mut m = Machine::try_from_build(cfg, build)?;

@@ -227,7 +227,9 @@ pub struct MachineConfig {
     pub nodes: u32,
     /// Number of I/O-enabled nodes (Table 1: 4).
     pub io_nodes: u32,
-    /// Page size in bytes (Table 1: 4 KB).
+    /// Page size in bytes (Table 1: 4 KB). Must equal
+    /// [`nw_memhier::PAGE_BYTES`]: caches, the directory and the page
+    /// table all map lines to pages with that fixed size.
     pub page_bytes: u64,
     /// TLB miss latency in pcycles (Table 1: 100).
     pub tlb_miss_latency: Time,
@@ -271,10 +273,11 @@ pub struct MachineConfig {
     /// `ring_count > 1`).
     pub ring_shard: RingShard,
 
-    /// Directory shards per node (paper-equivalent: 1). Lines are
-    /// sharded by page so a page purge touches exactly one shard;
-    /// at 1024 nodes this keeps the LineTable from being one hot
-    /// open-addressing structure.
+    /// Directory shards per node (paper-equivalent: 1). Kept only
+    /// because the `dirshards=N` TopoSpec key and the checkpoint CONFIG
+    /// section are frozen formats: the directory is one dense table
+    /// sized from the footprint, and this value no longer shapes host
+    /// memory or any simulated result.
     pub dir_shards: usize,
 
     /// Disk controller cache capacity in pages (Table 1: 16 KB = 4).
@@ -443,6 +446,14 @@ impl MachineConfig {
 
     /// Validate internal consistency.
     pub fn validate(&self) -> Result<(), String> {
+        // First: every later check that sizes memory divides by it.
+        if self.page_bytes != nw_memhier::PAGE_BYTES {
+            return Err(format!(
+                "page_bytes must be {}, got {}",
+                nw_memhier::PAGE_BYTES,
+                self.page_bytes
+            ));
+        }
         if self.nodes == 0 || self.io_nodes == 0 {
             return Err("need nodes and I/O nodes".into());
         }
@@ -861,6 +872,20 @@ mod tests {
         assert!(c.validate().is_err());
         c.ring_count = 2;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_other_page_sizes() {
+        for page_bytes in [0, 8192] {
+            let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
+            c.page_bytes = page_bytes;
+            let err = c.validate().expect_err("page size must be rejected");
+            assert!(err.contains("page_bytes"), "{err}");
+            let err = crate::Machine::try_new(c, nw_apps::AppId::Sor)
+                .err()
+                .expect("machine must refuse the config");
+            assert!(matches!(err, SimError::BadConfig(_)), "{err}");
+        }
     }
 
     #[test]

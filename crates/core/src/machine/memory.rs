@@ -8,7 +8,7 @@
 use super::{BlockKind, Machine};
 use crate::observe::groups;
 use crate::vm::{PageState, ProcId};
-use nw_memhier::{Line, LookupResult, WbOutcome};
+use nw_memhier::{page_of_line, Line, WbOutcome};
 use nw_sim::Time;
 
 impl Machine {
@@ -22,7 +22,7 @@ impl Machine {
         line: Line,
         is_write: bool,
     ) -> Result<(Time, Time), ()> {
-        let vpn = self.page_of(line);
+        let vpn = page_of_line(line);
         debug_assert!(vpn < self.npages, "access beyond footprint");
         let now = self.procs[p as usize].local_time;
 
@@ -79,39 +79,35 @@ impl Machine {
         // 3. Cache hierarchy.
         let n = self.node_of(p);
         let t_access = now + lat;
-        let was_dirty_l1 = self.procs[p as usize].l1.is_dirty(line);
-        match self.procs[p as usize].l1.access(line, is_write) {
-            LookupResult::Hit => {
+        match self.procs[p as usize].l1.probe(line, is_write) {
+            Some(was_dirty_l1) => {
                 lat += self.cfg.l1_latency;
                 if is_write && !was_dirty_l1 {
                     self.write_upgrade(n, line, home, t_access);
                 }
             }
-            LookupResult::Miss => {
-                let was_dirty_l2 = self.procs[p as usize].l2.is_dirty(line);
-                match self.procs[p as usize].l2.access(line, is_write) {
-                    LookupResult::Hit => {
-                        lat += self.cfg.l1_latency + self.cfg.l2_latency;
-                        if is_write && !was_dirty_l2 {
-                            self.write_upgrade(n, line, home, t_access);
-                        }
-                        self.fill_l1(p, line, is_write);
+            None => match self.procs[p as usize].l2.probe(line, is_write) {
+                Some(was_dirty_l2) => {
+                    lat += self.cfg.l1_latency + self.cfg.l2_latency;
+                    if is_write && !was_dirty_l2 {
+                        self.write_upgrade(n, line, home, t_access);
                     }
-                    LookupResult::Miss => {
-                        let mem_lat = self.mem_transaction(p, line, is_write, home, t_access);
-                        // Reads stall for the data; writes retire into
-                        // the write buffer (release consistency).
-                        if is_write {
-                            lat += self.cfg.l1_latency;
-                            lat += self.wb_insert(p, line);
-                        } else {
-                            lat += mem_lat;
-                        }
-                        self.fill_l2(p, line, is_write);
-                        self.fill_l1(p, line, is_write);
-                    }
+                    self.fill_l1(p, line, is_write);
                 }
-            }
+                None => {
+                    let mem_lat = self.mem_transaction(p, line, is_write, home, t_access);
+                    // Reads stall for the data; writes retire into the
+                    // write buffer (release consistency).
+                    if is_write {
+                        lat += self.cfg.l1_latency;
+                        lat += self.wb_insert(p, line);
+                    } else {
+                        lat += mem_lat;
+                    }
+                    self.fill_l2(p, line, is_write);
+                    self.fill_l1(p, line, is_write);
+                }
+            },
         }
         Ok((lat, tlb_lat))
     }
@@ -167,7 +163,7 @@ impl Machine {
     /// Charge the background writeback of a dirty line evicted from
     /// node `n`'s cache (not on the processor's critical path).
     pub(crate) fn writeback(&mut self, n: u32, line: Line, t: Time) {
-        let vpn = self.page_of(line);
+        let vpn = page_of_line(line);
         let home = match self.pt[vpn as usize].state {
             PageState::InMemory { node } => node,
             // Page already gone from memory: the purge path handled it.

@@ -328,7 +328,6 @@ impl Machine {
         let disk_homes = (0..cfg.io_nodes)
             .map(|d| cfg.try_io_node_of_disk(d))
             .collect::<Result<Vec<u32>, SimError>>()?;
-        let dir_shards = cfg.dir_shards;
         let nodes = cfg.nodes;
         let frames_per_node = cfg.frames_per_node();
         let disk_faults = (0..cfg.io_nodes)
@@ -356,7 +355,7 @@ impl Machine {
             procs,
             mem_bus: (0..n).map(|_| MemoryBus::paper_memory_bus()).collect(),
             io_bus: (0..n).map(|_| MemoryBus::paper_io_bus()).collect(),
-            dir: Directory::with_topology(dir_shards, nodes),
+            dir: Directory::with_lines(npages * LINES_PER_PAGE, nodes),
             disks,
             fs: ParallelFs::paper_default(io_nodes),
             ring,
@@ -928,11 +927,6 @@ impl Machine {
     /// The node hosting processor `p` (one processor per node).
     pub(crate) fn node_of(&self, p: ProcId) -> u32 {
         p
-    }
-
-    /// The virtual page containing cache line `line`.
-    pub(crate) fn page_of(&self, line: u64) -> Vpn {
-        line / (self.cfg.page_bytes / nw_memhier::LINE_BYTES)
     }
 
     /// The optical ring `vpn`'s swap-outs ride: pages (or 32-page

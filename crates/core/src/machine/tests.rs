@@ -201,3 +201,43 @@ fn exec_time_is_max_of_processors() {
     assert_eq!(m.exec_time, max_local);
 }
 
+
+#[test]
+fn checkpoint_mid_batch_resumes_bit_identically() {
+    // Action streams generate ahead in fixed batches, but a checkpoint
+    // records only the actions each processor was handed. Pause where
+    // consumption sits part-way through a batch, restore, and the run
+    // must finish exactly like the uninterrupted one.
+    use crate::checkpoint::{machine_from_bytes, machine_to_bytes};
+    let cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, 0.05);
+    let finish = |mut m: Machine| match m.try_run_events(u64::MAX).unwrap() {
+        RunOutcome::Done(metrics) => *metrics,
+        RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
+    };
+    let uninterrupted = finish(Machine::try_new(cfg.clone(), AppId::Sor).unwrap());
+    let batch = nw_apps::ActionStream::BATCH as u64;
+    let mut m = Machine::try_new(cfg, AppId::Sor).unwrap();
+    let mid_batch = |m: &Machine| {
+        m.procs
+            .iter()
+            .any(|p| p.stream.consumed > batch && p.stream.consumed % batch != 0)
+    };
+    while !mid_batch(&m) {
+        assert!(matches!(m.try_run_events(1).unwrap(), RunOutcome::Paused));
+    }
+    let bytes = machine_to_bytes("sor", &m);
+    let (_, restored) = machine_from_bytes(&bytes).unwrap();
+    let consumed = |m: &Machine| {
+        m.procs
+            .iter()
+            .map(|p| p.stream.consumed)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(consumed(&restored), consumed(&m));
+    let resumed = finish(restored);
+    assert_eq!(resumed, uninterrupted);
+    assert_eq!(
+        resumed.summary().to_json(),
+        uninterrupted.summary().to_json()
+    );
+}

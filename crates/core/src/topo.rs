@@ -19,7 +19,9 @@
 //!   forces 4.
 //! * `rings=K` (default 1) — optical rings in the fabric.
 //! * `shard=page|region` (default `page`) — page-to-ring sharding.
-//! * `dirshards=N` (default 1) — per-node directory shards.
+//! * `dirshards=N` (default 1) — kept because the grammar and the
+//!   checkpoint CONFIG section are frozen; it no longer changes the
+//!   directory (see [`MachineConfig::dir_shards`](crate::config::MachineConfig::dir_shards)).
 //!
 //! [`TopoSpec::parse`] only checks syntax; [`TopoSpec::validate`]
 //! (also run by [`TopoSpec::to_config`]) applies the full
@@ -45,7 +47,8 @@ pub struct TopoSpec {
     pub rings: usize,
     /// Page-to-ring sharding policy.
     pub shard: RingShard,
-    /// Directory shards per node.
+    /// Directory shards per node (a frozen-format field with no
+    /// effect; see `MachineConfig::dir_shards`).
     pub dir_shards: usize,
 }
 

@@ -117,6 +117,7 @@ impl Cache {
         }
     }
 
+    #[inline]
     fn set_of(&self, line: Line) -> usize {
         (line & self.set_mask) as usize
     }
@@ -138,20 +139,30 @@ impl Cache {
     /// Probe for `line`; on a hit refresh LRU and set the dirty bit if
     /// `is_write`.
     pub fn access(&mut self, line: Line, is_write: bool) -> LookupResult {
+        match self.probe(line, is_write) {
+            Some(_) => LookupResult::Hit,
+            None => LookupResult::Miss,
+        }
+    }
+
+    /// [`access`](Self::access) that also reports the line's dirty bit
+    /// from before the access: `Some(was_dirty)` on a hit, `None` on a
+    /// miss. One probe of the set serves both questions.
+    #[inline]
+    pub fn probe(&mut self, line: Line, is_write: bool) -> Option<bool> {
         self.clock += 1;
         let clock = self.clock;
         for way in self.set_mut(line) {
             if way.valid && way.line == line {
+                let was_dirty = way.dirty;
                 way.last_use = clock;
-                if is_write {
-                    way.dirty = true;
-                }
+                way.dirty |= is_write;
                 self.hits += 1;
-                return LookupResult::Hit;
+                return Some(was_dirty);
             }
         }
         self.misses += 1;
-        LookupResult::Miss
+        None
     }
 
     /// Insert `line` after a miss was serviced, returning any evicted
@@ -344,6 +355,17 @@ mod tests {
         assert!(!c.is_dirty(5));
         c.access(5, true);
         assert!(c.is_dirty(5));
+    }
+
+    #[test]
+    fn probe_reports_the_previous_dirty_bit() {
+        let mut c = tiny();
+        assert_eq!(c.probe(5, true), None);
+        c.fill(5, false);
+        assert_eq!(c.probe(5, true), Some(false));
+        assert_eq!(c.probe(5, false), Some(true));
+        assert!(c.is_dirty(5));
+        assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
     #[test]

@@ -11,18 +11,13 @@
 //! consistency the processor does not wait for invalidation acks on
 //! writes, but the traffic still contends for the network.
 //!
-//! Directory entries live in open-addressing [`LineTable`]s keyed by
-//! cache-line index (PR 3 hot-path layout; see DESIGN.md §11). Each
-//! entry packs its MSI state into the table's `u64` value; page purges
-//! walk the page's 64 consecutive line indices directly, which keeps
-//! their output in ascending line order — the same observable order
-//! the previous `BTreeMap` range scan produced.
-//!
-//! **Sharding** (generated topologies). The directory can split its
-//! lines over several [`LineTable`] shards, keyed by page
-//! (`(line / LINES_PER_PAGE) % shards`) so every line of a page lands
-//! in one shard and a page purge probes exactly one table. One shard
-//! (the default) is the paper machine's single directory.
+//! Directory state lives in one dense `Vec<u64>` indexed by cache
+//! line (see DESIGN.md §11): each entry packs the line's MSI state, and
+//! 0 means "untracked". A transaction is one indexed load and store; a
+//! page purge walks the page's 64 consecutive entries, which keeps its
+//! output in ascending line order. The machine sizes the table once
+//! for its whole footprint ([`Directory::with_lines`]); a standalone
+//! [`Directory::new`] grows to the highest line it sees.
 //!
 //! **Coarse sharer vectors** (machines past 32 nodes). The sharer
 //! mask is a `u32`; with more than 32 nodes each bit covers a *group*
@@ -33,7 +28,6 @@
 //! node-precise. At 32 nodes or fewer the group size is 1 and the
 //! directory is bit-for-bit the precise one.
 
-use crate::linetable::LineTable;
 use crate::{first_line_of_page, Line, Vpn, LINES_PER_PAGE};
 use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter, Load, Persist};
 
@@ -63,15 +57,26 @@ impl State {
         }
     }
 
+    /// The state packed into `v`; `None` for 0, an untracked line.
     #[inline]
-    fn unpack(v: u64) -> State {
-        if v & MOD_TAG != 0 {
-            State::Modified((v & !MOD_TAG) as u32)
+    fn unpack(v: u64) -> Option<State> {
+        if v == 0 {
+            None
+        } else if v & MOD_TAG != 0 {
+            Some(State::Modified((v & !MOD_TAG) as u32))
         } else {
-            State::Shared(v as SharerMask)
+            Some(State::Shared(v as SharerMask))
         }
     }
 
+    /// Sharer mask at granularity `g` (a modified owner is one sharer).
+    #[inline]
+    fn sharers(self, g: u32) -> SharerMask {
+        match self {
+            State::Shared(m) => m,
+            State::Modified(o) => 1 << (o / g),
+        }
+    }
 }
 
 /// Outcome of a read transaction at the directory.
@@ -99,50 +104,100 @@ pub struct WriteOutcome {
     pub from_memory: bool,
 }
 
-/// The directory's line tables, keyed by page so every line of a page
-/// (and therefore each purge) probes exactly one shard.
+/// Lines a grow-on-demand directory may reach through a checkpoint
+/// restore: the checkpoint codec's preallocation cap, so a corrupt
+/// line index costs a failed decode, never a huge table.
+const RESTORE_GROW_CAP: u64 = 1 << 20;
+
+/// Packed MSI state for every line, indexed by line: `0` means
+/// "untracked" (`Shared(0)` is never stored, so no state packs to 0).
 #[derive(Debug)]
-struct Shards(Vec<LineTable>);
+struct Lines {
+    states: Vec<u64>,
+    /// Grow past the end on demand (standalone directories) rather
+    /// than treat a line outside the table as a footprint violation.
+    grows: bool,
+    /// Nonzero entries of `states`.
+    tracked: usize,
+}
 
-impl Shards {
+impl Lines {
+    /// The packed state of `line` (0 when untracked).
     #[inline]
-    fn index(&self, line: Line) -> usize {
-        ((line / LINES_PER_PAGE) % self.0.len() as u64) as usize
+    fn get(&self, line: Line) -> u64 {
+        self.states.get(line as usize).copied().unwrap_or(0)
     }
 
+    /// The state slot of `line`, growing a standalone table to fit.
     #[inline]
-    fn of(&self, line: Line) -> &LineTable {
-        &self.0[self.index(line)]
+    fn slot(&mut self, line: Line) -> &mut u64 {
+        let i = line as usize;
+        if i >= self.states.len() {
+            self.grow(i);
+        }
+        &mut self.states[i]
     }
 
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        assert!(
+            self.grows,
+            "line {i} outside the directory's {}-line footprint",
+            self.states.len()
+        );
+        self.states.resize((i + 1).next_power_of_two().max(64), 0);
+    }
+
+    /// Untrack `line`, returning its previous packed state (0 if none).
     #[inline]
-    fn of_mut(&mut self, line: Line) -> &mut LineTable {
-        let i = self.index(line);
-        &mut self.0[i]
+    fn take(&mut self, line: Line) -> u64 {
+        let Some(v) = self.states.get_mut(line as usize) else {
+            return 0;
+        };
+        let old = std::mem::take(v);
+        self.tracked -= (old != 0) as usize;
+        old
     }
 }
 
-/// Every `(line, packed state)` entry in ascending line order, merged
-/// across shards: the shard split (like the [`LineTable`]'s slot
-/// layout) is not observable, so a sharded directory checkpoints to
-/// exactly the bytes a single-shard one would. Restore keeps the
-/// receiving directory's shard count.
-impl Persist for Shards {
+/// Every `(line, packed state)` entry in ascending line order (index
+/// order is line order, so the canonical sorted list needs no sort).
+/// Restore rejects a state of 0, a repeated line and a line the table
+/// cannot hold.
+impl Persist for Lines {
     fn save(&self, w: &mut CkptWriter) {
-        let mut entries: Vec<(Line, u64)> = self.0.iter().flat_map(|s| s.iter()).collect();
-        entries.sort_unstable_by_key(|&(line, _)| line);
-        entries.save(w);
+        w.usize(self.tracked);
+        for (line, &v) in self.states.iter().enumerate() {
+            if v != 0 {
+                (line as Line, v).save(w);
+            }
+        }
     }
 
     fn restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let entries: Vec<(Line, u64)> = Load::load(r)?;
-        for s in &mut self.0 {
-            *s = LineTable::new();
-        }
-        for (line, v) in entries {
-            if self.of_mut(line).insert(line, v).is_some() {
+        let n = r.usize()?;
+        self.states.fill(0);
+        self.tracked = 0;
+        let limit = if self.grows {
+            RESTORE_GROW_CAP.max(self.states.len() as u64)
+        } else {
+            self.states.len() as u64
+        };
+        for _ in 0..n {
+            let (line, v): (Line, u64) = Load::load(r)?;
+            if v == 0 {
+                return Err(r.invalid(format!("directory line {line} has no sharers")));
+            }
+            if line >= limit {
+                return Err(r.invalid(format!(
+                    "directory line {line} outside the table's {limit} lines"
+                )));
+            }
+            if self.get(line) != 0 {
                 return Err(r.invalid(format!("duplicate directory line {line}")));
             }
+            *self.slot(line) = v;
+            self.tracked += 1;
         }
         Ok(())
     }
@@ -151,7 +206,7 @@ impl Persist for Shards {
 /// The directory for all resident lines of the machine.
 #[derive(Debug)]
 pub struct Directory {
-    shards: Shards,
+    lines: Lines,
     /// Nodes per sharer-mask bit (1 up to 32 nodes; DASH coarse
     /// vector beyond).
     granularity: u32,
@@ -168,32 +223,35 @@ impl Default for Directory {
 }
 
 impl Directory {
-    /// An empty single-shard directory with node-precise sharer bits
-    /// (the paper machine's directory).
+    /// An empty directory with node-precise sharer bits whose table
+    /// grows on demand to the highest line it sees (standalone use:
+    /// tests and the directory bench kernels).
     pub fn new() -> Self {
-        Self::with_topology(1, 1)
+        Self::build(Vec::new(), true, 1)
     }
 
-    /// An empty directory with `shards` line-table shards, sized for a
-    /// `nodes`-node machine (the sharer-bit granularity is
-    /// `ceil(nodes/32)`). `with_topology(1, n)` for `n <= 32` behaves
-    /// exactly like [`Directory::new`].
-    pub fn with_topology(shards: usize, nodes: u32) -> Self {
-        assert!(shards > 0, "directory needs at least one shard");
+    /// An empty directory sized once for a footprint of `lines` cache
+    /// lines on a `nodes`-node machine (the sharer-bit granularity is
+    /// `ceil(nodes/32)`). The table never grows: a transaction on a
+    /// line at or past `lines` is a footprint violation and panics.
+    pub fn with_lines(lines: u64, nodes: u32) -> Self {
+        Self::build(vec![0; lines as usize], false, nodes)
+    }
+
+    fn build(states: Vec<u64>, grows: bool, nodes: u32) -> Self {
         assert!(nodes >= 1, "directory needs at least one node");
         Directory {
-            shards: Shards((0..shards).map(|_| LineTable::new()).collect()),
+            lines: Lines {
+                states,
+                grows,
+                tracked: 0,
+            },
             granularity: nodes.div_ceil(32).max(1),
             reads: 0,
             writes: 0,
             invalidations_sent: 0,
             owner_forwards: 0,
         }
-    }
-
-    /// Number of line-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.0.len()
     }
 
     /// Nodes covered by one sharer-mask bit (1 = node-precise).
@@ -224,72 +282,73 @@ impl Directory {
 
     /// A read by `node`. Updates sharer state and reports where the
     /// data comes from.
+    #[inline]
     pub fn read(&mut self, line: Line, node: u32) -> ReadOutcome {
         self.reads += 1;
         let bit = self.bit(node);
-        let owner_bit = |o: u32| 1u32 << (o / self.granularity);
-        let entries = self.shards.of_mut(line);
-        if let Some(v) = entries.get_mut(line) {
-            return match State::unpack(*v) {
-                State::Shared(mask) => {
-                    *v = State::Shared(mask | bit).pack();
-                    ReadOutcome::FromMemoryShared
-                }
-                // Own modified copy: silent hit, state unchanged.
-                State::Modified(owner) if owner == node => ReadOutcome::FromMemoryShared,
-                State::Modified(owner) => {
-                    // Owner writes back; both now share.
-                    *v = State::Shared(bit | owner_bit(owner)).pack();
-                    self.owner_forwards += 1;
-                    ReadOutcome::FromOwner { owner }
-                }
-            };
+        let g = self.granularity;
+        let v = self.lines.slot(line);
+        match State::unpack(*v) {
+            None => {
+                *v = State::Shared(bit).pack();
+                self.lines.tracked += 1;
+                ReadOutcome::FromMemory
+            }
+            Some(State::Shared(mask)) => {
+                *v = State::Shared(mask | bit).pack();
+                ReadOutcome::FromMemoryShared
+            }
+            // Own modified copy: silent hit, state unchanged.
+            Some(State::Modified(owner)) if owner == node => ReadOutcome::FromMemoryShared,
+            Some(State::Modified(owner)) => {
+                // Owner writes back; both now share.
+                *v = State::Shared(bit | 1 << (owner / g)).pack();
+                self.owner_forwards += 1;
+                ReadOutcome::FromOwner { owner }
+            }
         }
-        entries.insert(line, State::Shared(bit).pack());
-        ReadOutcome::FromMemory
     }
 
     /// A write (ownership request) by `node`.
+    #[inline]
     pub fn write(&mut self, line: Line, node: u32) -> WriteOutcome {
         self.writes += 1;
         let bit = self.bit(node);
-        let new = State::Modified(node).pack();
-        let entries = self.shards.of_mut(line);
-        if let Some(v) = entries.get_mut(line) {
-            let outcome = match State::unpack(*v) {
-                State::Shared(mask) => {
-                    let inv = mask & !bit;
-                    self.invalidations_sent += inv.count_ones() as u64;
-                    WriteOutcome {
-                        invalidate: inv,
-                        fetch_from: None,
-                        // If the writer already shared the line it upgrades
-                        // in place; otherwise data comes from memory.
-                        from_memory: mask & bit == 0,
-                    }
-                }
-                State::Modified(owner) if owner == node => WriteOutcome {
+        let v = self.lines.slot(line);
+        let old = std::mem::replace(v, State::Modified(node).pack());
+        match State::unpack(old) {
+            None => {
+                self.lines.tracked += 1;
+                WriteOutcome {
                     invalidate: 0,
                     fetch_from: None,
-                    from_memory: false,
-                },
-                State::Modified(owner) => {
-                    self.owner_forwards += 1;
-                    WriteOutcome {
-                        invalidate: 0,
-                        fetch_from: Some(owner),
-                        from_memory: false,
-                    }
+                    from_memory: true,
                 }
-            };
-            *v = new;
-            return outcome;
-        }
-        entries.insert(line, new);
-        WriteOutcome {
-            invalidate: 0,
-            fetch_from: None,
-            from_memory: true,
+            }
+            Some(State::Shared(mask)) => {
+                let inv = mask & !bit;
+                self.invalidations_sent += inv.count_ones() as u64;
+                WriteOutcome {
+                    invalidate: inv,
+                    fetch_from: None,
+                    // If the writer already shared the line it upgrades
+                    // in place; otherwise data comes from memory.
+                    from_memory: mask & bit == 0,
+                }
+            }
+            Some(State::Modified(owner)) if owner == node => WriteOutcome {
+                invalidate: 0,
+                fetch_from: None,
+                from_memory: false,
+            },
+            Some(State::Modified(owner)) => {
+                self.owner_forwards += 1;
+                WriteOutcome {
+                    invalidate: 0,
+                    fetch_from: Some(owner),
+                    from_memory: false,
+                }
+            }
         }
     }
 
@@ -298,27 +357,23 @@ impl Directory {
     /// with coarse sharer groups a clean eviction cannot clear the
     /// group's bit (another member may still share the line), so only
     /// the node-precise granularity ever shrinks a shared mask.
+    #[inline]
     pub fn evict(&mut self, line: Line, node: u32) {
         let bit = self.bit(node);
         let precise = self.granularity == 1;
-        let entries = self.shards.of_mut(line);
-        let Some(v) = entries.get(line) else {
-            return;
-        };
-        match State::unpack(v) {
-            State::Shared(mask) if precise => {
+        match State::unpack(self.lines.get(line)) {
+            Some(State::Shared(mask)) if precise => {
                 let mask = mask & !bit;
                 if mask == 0 {
-                    entries.remove(line);
-                } else if let Some(slot) = entries.get_mut(line) {
-                    *slot = State::Shared(mask).pack();
+                    self.lines.take(line);
+                } else {
+                    *self.lines.slot(line) = State::Shared(mask).pack();
                 }
             }
-            State::Shared(_) => {}
-            State::Modified(owner) if owner == node => {
-                entries.remove(line);
+            Some(State::Modified(owner)) if owner == node => {
+                self.lines.take(line);
             }
-            State::Modified(_) => {}
+            _ => {}
         }
     }
 
@@ -338,39 +393,22 @@ impl Directory {
     /// passes a scratch buffer that lives for the whole run.
     pub fn purge_page_into(&mut self, vpn: Vpn, out: &mut Vec<(Line, SharerMask)>) {
         out.clear();
-        // Lines of a page are 64 consecutive indices in one shard:
-        // probing each beats an ordered range scan, and ascending
-        // order falls out of the loop (bit-compatible with the old
-        // BTreeMap range).
         let start = first_line_of_page(vpn);
-        let g = self.granularity;
-        let entries = self.shards.of_mut(start);
         for line in start..start + LINES_PER_PAGE {
-            if let Some(v) = entries.remove(line) {
-                let mask = match State::unpack(v) {
-                    State::Shared(m) => m,
-                    State::Modified(o) => 1 << (o / g),
-                };
-                out.push((line, mask));
+            if let Some(state) = State::unpack(self.lines.take(line)) {
+                out.push((line, state.sharers(self.granularity)));
             }
         }
     }
 
     /// Sharer mask of `line` (modified owner counts as one sharer).
     pub fn sharers(&self, line: Line) -> SharerMask {
-        let g = self.granularity;
-        match self.shards.of(line).get(line) {
-            None => 0,
-            Some(v) => match State::unpack(v) {
-                State::Shared(m) => m,
-                State::Modified(o) => 1 << (o / g),
-            },
-        }
+        State::unpack(self.lines.get(line)).map_or(0, |s| s.sharers(self.granularity))
     }
 
     /// Whether `line` is held modified, and by whom.
     pub fn modified_owner(&self, line: Line) -> Option<u32> {
-        match self.shards.of(line).get(line).map(State::unpack) {
+        match State::unpack(self.lines.get(line)) {
             Some(State::Modified(o)) => Some(o),
             _ => None,
         }
@@ -378,7 +416,7 @@ impl Directory {
 
     /// Number of lines with directory state.
     pub fn tracked_lines(&self) -> usize {
-        self.shards.0.iter().map(|s| s.len()).sum()
+        self.lines.tracked
     }
 
     /// Total read transactions.
@@ -403,7 +441,7 @@ impl Directory {
 }
 
 nw_sim::persist!(Directory {
-    shards,
+    lines,
     reads,
     writes,
     invalidations_sent,
@@ -533,62 +571,87 @@ mod tests {
         assert!(d.purge_page(42).is_empty());
     }
 
-    #[test]
-    fn sharded_directory_behaves_like_single_shard() {
-        // Drive the same transaction stream through 1 and 4 shards:
-        // every outcome and counter must agree (the shard split is an
-        // implementation detail).
-        let mut one = Directory::with_topology(1, 8);
-        let mut four = Directory::with_topology(4, 8);
-        assert_eq!(four.shard_count(), 4);
-        for (line, node) in [(64u64, 0u32), (70, 1), (129, 2), (200, 3), (64, 2), (300, 0)] {
-            assert_eq!(one.read(line, node), four.read(line, node), "read {line} {node}");
-        }
-        for (line, node) in [(64u64, 1u32), (129, 0), (300, 0)] {
-            assert_eq!(one.write(line, node), four.write(line, node), "write {line} {node}");
-        }
-        one.evict(70, 1);
-        four.evict(70, 1);
-        assert_eq!(one.purge_page(1), four.purge_page(1));
-        assert_eq!(one.tracked_lines(), four.tracked_lines());
-        assert_eq!(one.invalidations_sent(), four.invalidations_sent());
-        // Identical checkpoint bytes: the split is not observable.
-        let mut w1 = CkptWriter::new();
-        let mut w4 = CkptWriter::new();
-        w1.begin_section(1);
-        one.save(&mut w1);
-        w1.end_section();
-        w4.begin_section(1);
-        four.save(&mut w4);
-        w4.end_section();
-        assert_eq!(w1.finish(), w4.finish());
-    }
-
-    #[test]
-    fn sharded_checkpoint_restores_into_any_shard_count() {
-        let mut d = Directory::with_topology(3, 8);
-        d.read(64, 0);
-        d.write(129, 2);
-        d.read(700, 1);
+    fn saved(d: &Directory) -> Vec<u8> {
         let mut w = CkptWriter::new();
         w.begin_section(1);
         d.save(&mut w);
         w.end_section();
-        let bytes = w.finish();
-        let mut e = Directory::with_topology(5, 8);
+        w.finish()
+    }
+
+    #[test]
+    fn sized_directory_behaves_like_grown_one() {
+        // Drive the same transaction stream through a footprint-sized
+        // table and a grow-on-demand one: every outcome and counter
+        // must agree, and so must the checkpoint bytes.
+        let mut grown = Directory::new();
+        let mut sized = Directory::with_lines(8 * LINES_PER_PAGE, 8);
+        for (line, node) in [
+            (64u64, 0u32),
+            (70, 1),
+            (129, 2),
+            (200, 3),
+            (64, 2),
+            (300, 0),
+        ] {
+            assert_eq!(
+                grown.read(line, node),
+                sized.read(line, node),
+                "read {line} {node}"
+            );
+        }
+        for (line, node) in [(64u64, 1u32), (129, 0), (300, 0)] {
+            assert_eq!(
+                grown.write(line, node),
+                sized.write(line, node),
+                "write {line} {node}"
+            );
+        }
+        grown.evict(70, 1);
+        sized.evict(70, 1);
+        assert_eq!(grown.purge_page(1), sized.purge_page(1));
+        assert_eq!(grown.tracked_lines(), sized.tracked_lines());
+        assert_eq!(grown.invalidations_sent(), sized.invalidations_sent());
+        assert_eq!(saved(&grown), saved(&sized));
+    }
+
+    #[test]
+    fn checkpoint_restores_into_any_table_size() {
+        let mut d = Directory::new();
+        d.read(64, 0);
+        d.write(129, 2);
+        d.read(700, 1);
+        let bytes = saved(&d);
+        for mut e in [Directory::new(), Directory::with_lines(1024, 8)] {
+            let mut r = CkptReader::new(&bytes).unwrap();
+            r.begin_section(1).unwrap();
+            e.restore(&mut r).unwrap();
+            r.end_section().unwrap();
+            assert_eq!(e.tracked_lines(), 3);
+            assert_eq!(e.modified_owner(129), Some(2));
+            assert_eq!(e.sharers(700), 0b10);
+            assert_eq!(saved(&e), bytes);
+        }
+        // A sized table rejects a line outside its footprint.
+        let mut small = Directory::with_lines(512, 8);
         let mut r = CkptReader::new(&bytes).unwrap();
         r.begin_section(1).unwrap();
-        e.restore(&mut r).unwrap();
-        r.end_section().unwrap();
-        assert_eq!(e.tracked_lines(), 3);
-        assert_eq!(e.modified_owner(129), Some(2));
-        assert_eq!(e.sharers(700), 0b10);
+        assert!(matches!(
+            small.restore(&mut r),
+            Err(CkptError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "footprint")]
+    fn sized_directory_rejects_lines_past_its_footprint() {
+        Directory::with_lines(64, 8).read(64, 0);
     }
 
     #[test]
     fn coarse_vector_groups_nodes_past_32() {
         // 64 nodes: 2 nodes per sharer bit.
-        let mut d = Directory::with_topology(1, 64);
+        let mut d = Directory::with_lines(64, 64);
         assert_eq!(d.granularity(), 2);
         d.read(10, 0);
         d.read(10, 1); // same group as node 0
@@ -606,7 +669,7 @@ mod tests {
 
     #[test]
     fn coarse_clean_evict_is_conservative() {
-        let mut d = Directory::with_topology(1, 64);
+        let mut d = Directory::with_lines(64, 64);
         d.read(10, 4);
         d.read(10, 5); // same group (2)
         d.evict(10, 4);
@@ -622,17 +685,17 @@ mod tests {
 
     #[test]
     fn expand_mask_enumerates_group_members() {
-        let d = Directory::with_topology(1, 64);
+        let d = Directory::with_lines(64, 64);
         let mut nodes = Vec::new();
         d.expand_mask(0b1 | (1 << 31), 64, |n| nodes.push(n));
         assert_eq!(nodes, vec![0, 1, 62, 63]);
         // Precise directory: expansion is the identity.
-        let d = Directory::with_topology(1, 8);
+        let d = Directory::with_lines(64, 8);
         let mut nodes = Vec::new();
         d.expand_mask(0b1011, 8, |n| nodes.push(n));
         assert_eq!(nodes, vec![0, 1, 3]);
         // The last group is clipped to the node count.
-        let d = Directory::with_topology(1, 33); // granularity 2
+        let d = Directory::with_lines(64, 33); // granularity 2
         let mut nodes = Vec::new();
         d.expand_mask(1 << 16, 33, |n| nodes.push(n));
         assert_eq!(nodes, vec![32]);

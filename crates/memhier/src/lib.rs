@@ -35,14 +35,12 @@
 pub mod bus;
 pub mod cache;
 pub mod directory;
-pub mod linetable;
 pub mod tlb;
 pub mod wbuffer;
 
 pub use bus::MemoryBus;
 pub use cache::{Cache, CacheConfig, Evicted, LookupResult};
 pub use directory::{Directory, ReadOutcome, WriteOutcome};
-pub use linetable::LineTable;
 pub use tlb::Tlb;
 pub use wbuffer::{WbOutcome, WriteBuffer};
 

@@ -9,13 +9,119 @@
 //! machine model.
 
 use crate::Vpn;
+use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter, Persist};
+
+/// `2^64 / phi`, the Fibonacci hashing multiplier.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Marks an empty [`Index`] bucket.
+const EMPTY: u32 = u32::MAX;
+
+/// Derived map from a cached vpn to its position in [`Tlb::entries`]:
+/// open addressing with linear probing over at least twice as many
+/// buckets as the TLB has entries, and backward-shift deletion (no
+/// tombstones). It is never saved; restore rebuilds it.
+#[derive(Debug, Clone)]
+struct Index {
+    keys: Vec<Vpn>,
+    /// Entry position per bucket, [`EMPTY`] for a free bucket.
+    slots: Vec<u32>,
+    /// `64 - log2(buckets)`: the hash's top bits pick the bucket.
+    shift: u32,
+}
+
+impl Index {
+    fn new(capacity: usize) -> Self {
+        let buckets = (2 * capacity).next_power_of_two().max(2);
+        Index {
+            keys: vec![0; buckets],
+            slots: vec![EMPTY; buckets],
+            shift: 64 - buckets.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn home(&self, vpn: Vpn) -> usize {
+        (vpn.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// Bucket holding `vpn`, if cached.
+    #[inline]
+    fn bucket(&self, vpn: Vpn) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut b = self.home(vpn);
+        loop {
+            if self.slots[b] == EMPTY {
+                return None;
+            }
+            if self.keys[b] == vpn {
+                return Some(b);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Entry position of `vpn`, if cached.
+    #[inline]
+    fn get(&self, vpn: Vpn) -> Option<usize> {
+        self.bucket(vpn).map(|b| self.slots[b] as usize)
+    }
+
+    /// Record that `vpn` (absent) now sits at entry position `pos`.
+    fn insert(&mut self, vpn: Vpn, pos: usize) {
+        let mask = self.slots.len() - 1;
+        let mut b = self.home(vpn);
+        while self.slots[b] != EMPTY {
+            b = (b + 1) & mask;
+        }
+        self.keys[b] = vpn;
+        self.slots[b] = pos as u32;
+    }
+
+    /// Point the cached `vpn` at entry position `pos`.
+    fn relocate(&mut self, vpn: Vpn, pos: usize) {
+        let b = self.bucket(vpn).expect("relocated vpn is indexed");
+        self.slots[b] = pos as u32;
+    }
+
+    /// Drop the cached `vpn`, shifting displaced keys back over the hole.
+    fn remove(&mut self, vpn: Vpn) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.bucket(vpn).expect("removed vpn is indexed");
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            if self.slots[b] == EMPTY {
+                break;
+            }
+            // The key at `b` may fill the hole only if that does not
+            // move it before its home bucket.
+            let home = self.home(self.keys[b]);
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.keys[hole] = self.keys[b];
+                self.slots[hole] = self.slots[b];
+                hole = b;
+            }
+        }
+        self.slots[hole] = EMPTY;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+    }
+}
 
 /// A fully associative, LRU translation lookaside buffer.
+///
+/// Entries are kept in a `Vec` whose order is observable (the LRU scan
+/// breaks ties by position, and removal swaps the last entry into the
+/// hole); a derived [`Index`] finds a vpn's entry in O(1).
 #[derive(Debug, Clone)]
 pub struct Tlb {
     capacity: usize,
     /// `(vpn, last_use)` pairs; length <= capacity.
     entries: Vec<(Vpn, u64)>,
+    index: Index,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -32,6 +138,7 @@ impl Tlb {
         Tlb {
             capacity,
             entries: Vec::with_capacity(capacity),
+            index: Index::new(capacity),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -42,10 +149,11 @@ impl Tlb {
     /// Look up `vpn`, updating LRU state. Returns `true` on a hit.
     /// On a miss the entry is *not* inserted — callers insert after the
     /// page-table walk succeeds (the page may not be resident at all).
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        if let Some(i) = self.index.get(vpn) {
+            self.entries[i].1 = self.clock;
             self.hits += 1;
             true
         } else {
@@ -57,8 +165,8 @@ impl Tlb {
     /// Insert a translation for `vpn`, evicting the LRU entry if full.
     pub fn insert(&mut self, vpn: Vpn) {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        if let Some(i) = self.index.get(vpn) {
+            self.entries[i].1 = self.clock;
             return;
         }
         if self.entries.len() == self.capacity {
@@ -69,8 +177,9 @@ impl Tlb {
                 .min_by_key(|(_, e)| e.1)
                 .map(|(i, _)| i)
                 .expect("TLB full implies non-empty");
-            self.entries.swap_remove(lru);
+            self.swap_remove(lru);
         }
+        self.index.insert(vpn, self.entries.len());
         self.entries.push((vpn, self.clock));
     }
 
@@ -78,8 +187,8 @@ impl Tlb {
     /// entry was present — only then does the processor pay the
     /// shootdown interrupt.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        if let Some(i) = self.entries.iter().position(|e| e.0 == vpn) {
-            self.entries.swap_remove(i);
+        if let Some(i) = self.index.get(vpn) {
+            self.swap_remove(i);
             self.invalidations += 1;
             true
         } else {
@@ -87,9 +196,18 @@ impl Tlb {
         }
     }
 
+    /// Remove entry `i`, moving the last entry into its place.
+    fn swap_remove(&mut self, i: usize) {
+        let (vpn, _) = self.entries.swap_remove(i);
+        self.index.remove(vpn);
+        if let Some(&(moved, _)) = self.entries.get(i) {
+            self.index.relocate(moved, i);
+        }
+    }
+
     /// Whether `vpn` is currently cached (no LRU update).
     pub fn contains(&self, vpn: Vpn) -> bool {
-        self.entries.iter().any(|e| e.0 == vpn)
+        self.index.get(vpn).is_some()
     }
 
     /// Number of valid entries.
@@ -119,11 +237,40 @@ impl Tlb {
 }
 
 // Entry order is observable (LRU eviction scans in order and
-// swap-removes), so entries are saved exactly as stored.
-nw_sim::persist!(Tlb { entries, clock, hits, misses, invalidations } check |t| {
-    (t.entries.len() > t.capacity)
-        .then(|| format!("TLB holds {} entries, capacity is {}", t.entries.len(), t.capacity))
-});
+// swap-removes), so entries are saved exactly as stored; the index is
+// rebuilt from them.
+impl Persist for Tlb {
+    fn save(&self, w: &mut CkptWriter) {
+        self.entries.save(w);
+        self.clock.save(w);
+        self.hits.save(w);
+        self.misses.save(w);
+        self.invalidations.save(w);
+    }
+
+    fn restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+        self.entries.restore(r)?;
+        self.clock.restore(r)?;
+        self.hits.restore(r)?;
+        self.misses.restore(r)?;
+        self.invalidations.restore(r)?;
+        if self.entries.len() > self.capacity {
+            return Err(r.invalid(format!(
+                "TLB holds {} entries, capacity is {}",
+                self.entries.len(),
+                self.capacity
+            )));
+        }
+        self.index.clear();
+        for (i, &(vpn, _)) in self.entries.iter().enumerate() {
+            if self.index.get(vpn).is_some() {
+                return Err(r.invalid(format!("TLB holds vpn {vpn} twice")));
+            }
+            self.index.insert(vpn, i);
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
